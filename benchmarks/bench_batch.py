@@ -5,9 +5,16 @@ batched compilation buys on this engine — and where it doesn't: fixed
 per-statement costs (dispatch, catalog ops, output materialization)
 amortize over the batch, so batching wins when those dominate (small
 models); for larger per-frame workloads the vectorized engine is already
-batch-efficient sample by sample (the plan cache removes re-optimization),
-and the extra BatchID grouping key roughly cancels the savings.  The
-crossover itself is the reproduced insight.
+batch-efficient sample by sample, and the extra BatchID grouping key
+roughly cancels the savings.  The crossover itself is the reproduced
+insight.
+
+The per-sample side pays no re-optimization: each statement is planned on
+the first frame and is a plan-cache hit on every later one, because a
+cached plan assumes only the statistics that justified a rewrite of it
+(docs/static_analysis.md) and a new frame's value range justifies none.
+Ratios recorded while a wider range still discarded plans (about a third
+of the statements were re-planned per frame) overstate batching's win.
 """
 
 import time

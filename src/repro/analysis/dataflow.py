@@ -612,8 +612,17 @@ def relation_facts(
 
 
 def column_seed_fact(
-    name: str, dtype: DataType, stats: Optional["TableStats"]
+    name: str,
+    dtype: DataType,
+    stats: Optional["TableStats"],
+    *,
+    bounds: bool = True,
 ) -> Fact:
+    """Seed one column's fact from exact statistics.
+
+    ``bounds=False`` seeds nullability alone and leaves the column's
+    min/max unread (statistics are computed per field on first read).
+    """
     interval = UNBOUNDED
     nullability = Nullability.MAYBE
     if stats is not None:
@@ -625,7 +634,8 @@ def column_seed_fact(
             elif null_count >= stats.row_count > 0:
                 nullability = Nullability.ALWAYS
             if (
-                dtype.is_numeric
+                bounds
+                and dtype.is_numeric
                 and column.min_value is not None
                 and column.max_value is not None
                 and not math.isnan(column.min_value)

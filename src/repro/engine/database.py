@@ -202,6 +202,28 @@ class ExplainOutput:
     estimated_cost: float
 
 
+class _CachedPlan:
+    """One plan-cache entry (see ``Database._plan_cache``)."""
+
+    __slots__ = ("statement", "config", "plan", "versions", "assumptions")
+
+    def __init__(
+        self,
+        statement: SelectStatement,
+        config: OptimizerConfig,
+        plan: LogicalPlan,
+        versions: dict[str, int],
+        assumptions: dict[tuple[str, str], dataflow.Fact],
+    ) -> None:
+        self.statement = statement
+        self.config = config
+        self.plan = plan
+        #: Statistics version of each table ``assumptions`` names.
+        self.versions = versions
+        #: (table, column) -> the fact a rewrite of ``plan`` relied on.
+        self.assumptions = assumptions
+
+
 class Database:
     """An in-memory columnar SQL database with UDF support."""
 
@@ -353,24 +375,17 @@ class Database:
         #: Prepared plans keyed by (statement identity, optimizer config
         #: identity).  DL2SQL re-executes the same generated statements per
         #: keyframe; re-optimizing them each time would dominate inference.
-        #: Each entry also stores the statement object itself: holding the
-        #: reference pins its id() (Python recycles ids of collected
-        #: objects, which would otherwise alias a fresh statement onto a
-        #: stale plan), and an `is` check guards the hit.
+        #: Each entry also stores the statement and the config themselves:
+        #: holding the references pins their id()s (Python recycles ids of
+        #: collected objects, which would otherwise alias a fresh statement
+        #: or cost model onto a stale plan), and `is` checks guard the hit.
         #: Cleared whenever a view definition changes (plans inline views).
-        #: Folding makes cached plans *conditional*: each entry records
-        #: the statistics versions it read and the column facts its
-        #: rewrites assumed, so a hit after a table mutation triggers a
-        #: containment re-check (see ``_plan_assumptions_hold``).
-        self._plan_cache: dict[
-            tuple[int, int],
-            tuple[
-                SelectStatement,
-                LogicalPlan,
-                dict[str, int],
-                dict[tuple[str, str], dataflow.Fact],
-            ],
-        ] = {}
+        #: A rewrite justified by statistics makes its plan *conditional*:
+        #: the entry records the column facts those rewrites assumed, and
+        #: a hit after a table mutation re-checks them (see
+        #: ``_plan_assumptions_hold``).  A plan nothing was assumed for is
+        #: valid for any data.
+        self._plan_cache: dict[tuple[int, int], _CachedPlan] = {}
         #: Disabled for experiments reproducing engines that re-plan every
         #: statement (the paper's ClickHouse flow re-optimizes DL2SQL's
         #: generated statements on each inference).
@@ -690,20 +705,22 @@ class Database:
     def _optimized_plan(
         self, statement: SelectStatement, *, analyze: bool = True
     ) -> LogicalPlan:
-        key = (id(statement), id(self.optimizer_config))
+        config = self.optimizer_config
+        key = (id(statement), id(config))
         if self._plan_cache_enabled:
             cached = self._plan_cache.get(key)
             if (
                 cached is not None
-                and cached[0] is statement
-                and self._plan_assumptions_hold(cached[2], cached[3])
+                and cached.statement is statement
+                and cached.config is config
+                and self._plan_assumptions_hold(cached)
             ):
                 if self.metrics is not None:
                     self.metrics.counter(
                         "plan_cache_hits_total",
                         "Optimized plans served from the plan cache",
                     ).inc()
-                return cached[1]
+                return cached.plan
         if self.metrics is not None:
             self.metrics.counter(
                 "plan_cache_misses_total",
@@ -736,7 +753,7 @@ class Database:
                     )
         with self.tracer.span("optimize"):
             optimizer = Optimizer(
-                self.catalog, self.statistics, self.udfs, self.optimizer_config
+                self.catalog, self.statistics, self.udfs, config
             )
             optimized = optimizer.optimize(folded)
         if self._validate_plans:
@@ -772,40 +789,50 @@ class Database:
         if self._plan_cache_enabled:
             if len(self._plan_cache) > 8192:
                 self._plan_cache.clear()
-            self._plan_cache[key] = (statement, plan, versions, assumptions)
+            self._plan_cache[key] = _CachedPlan(
+                statement, config, plan, versions, assumptions
+            )
         return plan
 
-    def _plan_assumptions_hold(
-        self,
-        versions: dict[str, int],
-        assumptions: dict[tuple[str, str], "dataflow.Fact"],
-    ) -> bool:
-        """Is a cached, fact-justified plan still valid?
+    def _plan_assumptions_hold(self, cached: _CachedPlan) -> bool:
+        """Is a cached plan still valid?
 
-        Fast path: every statistics version the fold read is unchanged.
-        Slow path (a table mutated): re-seed each assumed column fact
-        from fresh statistics and accept the plan only if the fresh fact
-        is *contained* in the assumed one — inserting rows inside the
-        already-proven range keeps the plan sound, widening the range
-        (or introducing the first NULL) forces a re-plan.
+        A plan assumes only what justified a rewrite of it, so one with
+        no assumptions holds for any data.  Otherwise, fast path: every
+        statistics version the rewrites read is unchanged.  Slow path (a
+        table mutated): re-seed each assumed column fact from fresh
+        statistics — nullability alone where no range was assumed — and
+        accept the plan only if the fresh fact is *contained* in the
+        assumed one: inserting rows inside the already-proven range
+        keeps the plan sound, widening the range (or introducing the
+        first NULL) forces a re-plan.
         """
-        stale = [
+        assumptions = cached.assumptions
+        if not assumptions:
+            return True
+        versions = cached.versions
+        stale = {
             table
             for table, version in versions.items()
             if self.statistics.version(table) != version
-        ]
+        }
         if not stale:
             return True
-        for table, column in sorted(assumptions):
+        for (table, column), assumed in assumptions.items():
+            if table not in stale:
+                continue
             if not self.catalog.has(table) or self.catalog.is_view(table):
                 return False
-            stats = self.statistics.exact_stats_for(table)
             table_schema = self.catalog.get_table(table).schema
             if column not in table_schema:
                 return False
-            dtype = table_schema.dtype_of(column)
-            fresh = dataflow.column_seed_fact(column, dtype, stats)
-            if not assumptions[(table, column)].contains(fresh):
+            fresh = dataflow.column_seed_fact(
+                column,
+                table_schema.dtype_of(column),
+                self.statistics.exact_stats_for(table),
+                bounds=not assumed.interval.unbounded,
+            )
+            if not assumed.contains(fresh):
                 return False
         # Still contained: refresh the recorded versions so the next hit
         # takes the fast path again.

@@ -583,11 +583,13 @@ class FoldReport:
 
     actions: list[FoldAction] = field(default_factory=list)
     notes: list["dataflow.Note"] = field(default_factory=list)
-    #: table name -> statistics version consulted.
+    #: table name -> statistics version, for the tables ``assumptions``
+    #: names.
     stats_versions: dict[str, int] = field(default_factory=dict)
-    #: (table, column) -> the seeded fact the rewrites assumed.  A plan
-    #: cache hit after a table mutation re-checks containment of the
-    #: fresh facts in these before reusing the plan.
+    #: (table, column) -> the seeded fact a rewrite assumed; empty when
+    #: no Filter was rewritten (reading a statistic assumes nothing).  A
+    #: plan cache hit after a table mutation re-checks containment of
+    #: the fresh facts in these before reusing the plan.
     assumptions: dict[tuple[str, str], "dataflow.Fact"] = field(
         default_factory=dict
     )
@@ -647,47 +649,18 @@ def _fold_node(
         env = dataflow.build_env(relations, stats_versions=versions)
         fold = dataflow.fold_conjuncts(plan.predicate, env)
         report.notes.extend(fold.notes)
-        report.stats_versions.update(env.stats_tables)
-        for pair in env.used:
-            seed = env.seeds.get(pair)
-            if seed is not None:
-                report.assumptions[pair] = seed
-        contradiction = fold.contradiction
-        if contradiction is not None and _prunable(child, catalog):
-            report.actions.append(
-                FoldAction(
-                    "empty_scan",
-                    f"predicate {contradiction.original.to_sql()} "
-                    "can never be TRUE",
-                )
-            )
-            return EmptyScan(
-                columns=_subtree_columns(child, catalog),
-                reason=contradiction.original.to_sql(),
-            )
-        kept: list[Expression] = []
-        for outcome in fold.outcomes:
-            if outcome.status == "always_true":
-                report.actions.append(
-                    FoldAction(
-                        "drop_true",
-                        f"conjunct {outcome.original.to_sql()} is always TRUE",
-                    )
-                )
-                continue
-            if outcome.folded is not outcome.original:
-                report.actions.append(
-                    FoldAction(
-                        "fold",
-                        f"{outcome.original.to_sql()} "
-                        f"-> {outcome.folded.to_sql()}",
-                    )
-                )
-            kept.append(outcome.folded)
-        if not kept:
-            return child
-        predicate = combine_conjuncts(kept)
-        return Filter(child=child, predicate=predicate)
+        actions_before = len(report.actions)
+        rewritten = _apply_fold(child, fold, catalog, report)
+        if len(report.actions) > actions_before:
+            # Only a rewrite makes the plan conditional on the facts the
+            # interpreter consulted; a predicate it read statistics for
+            # and left alone is valid for any data.
+            report.stats_versions.update(env.stats_tables)
+            for pair in env.used:
+                seed = env.seeds.get(pair)
+                if seed is not None:
+                    report.assumptions[pair] = seed
+        return rewritten
 
     # Structural recursion over every other node shape.
     if isinstance(plan, Project):
@@ -735,6 +708,51 @@ def _fold_node(
             alias=plan.alias,
         )
     return plan
+
+
+def _apply_fold(
+    child: LogicalPlan,
+    fold: Any,
+    catalog: Catalog,
+    report: FoldReport,
+) -> LogicalPlan:
+    """Rebuild one Filter from its fold outcomes, logging each rewrite."""
+    contradiction = fold.contradiction
+    if contradiction is not None and _prunable(child, catalog):
+        report.actions.append(
+            FoldAction(
+                "empty_scan",
+                f"predicate {contradiction.original.to_sql()} "
+                "can never be TRUE",
+            )
+        )
+        return EmptyScan(
+            columns=_subtree_columns(child, catalog),
+            reason=contradiction.original.to_sql(),
+        )
+    kept: list[Expression] = []
+    for outcome in fold.outcomes:
+        if outcome.status == "always_true":
+            report.actions.append(
+                FoldAction(
+                    "drop_true",
+                    f"conjunct {outcome.original.to_sql()} is always TRUE",
+                )
+            )
+            continue
+        if outcome.folded is not outcome.original:
+            report.actions.append(
+                FoldAction(
+                    "fold",
+                    f"{outcome.original.to_sql()} "
+                    f"-> {outcome.folded.to_sql()}",
+                )
+            )
+        kept.append(outcome.folded)
+    if not kept:
+        return child
+    predicate = combine_conjuncts(kept)
+    return Filter(child=child, predicate=predicate)
 
 
 def _plan_relations(
@@ -855,10 +873,13 @@ def annotate_plan_facts(
     ``(qualifier, name)`` pair; the fused kernels then skip the per-batch
     NULL-mask scan for those columns.  Returns the ``(table, column) ->
     fact`` assumptions the annotations rely on (same containment
-    contract as :class:`FoldReport.assumptions`).
+    contract as :class:`FoldReport.assumptions`): nullability NEVER and
+    nothing else, so the column's range may move freely under a cached
+    plan while its first NULL invalidates it.
     """
     from repro.analysis import dataflow
 
+    never_null = dataflow.Fact(nullability=dataflow.Nullability.NEVER)
     deps: dict[tuple[str, str], Any] = {}
     for node in walk_plan(plan):
         if isinstance(node, Filter) and node.predicate is not None:
@@ -879,11 +900,10 @@ def annotate_plan_facts(
                 source = env.table_of.get(canon)
                 if source is None:
                     continue
-                fact = env.facts[canon]
-                if fact.never_null:
+                if env.facts[canon].never_null:
                     qualifier, _, name = canon.rpartition(".")
                     proven.add((qualifier or None, name))
-                    deps[source] = fact
+                    deps[source] = never_null
         if proven:
             node.nonnull_columns = frozenset(proven)
     return deps

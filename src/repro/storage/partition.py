@@ -55,7 +55,10 @@ def build_zone_map(columns: Sequence[Column]) -> dict[str, "ColumnStats"]:
     # which must stay importable before this module.
     from repro.engine.statistics import compute_table_stats
 
-    return compute_table_stats(Table("__zone__", list(columns))).columns
+    zone = compute_table_stats(Table("__zone__", list(columns))).columns
+    for stats in zone.values():
+        stats.resolve()
+    return zone
 
 
 class Partition:

@@ -64,7 +64,11 @@ class TightStrategy(Strategy):
         self.prejoin = prejoin
         self.name = "DL2SQL-OP" if optimized else "DL2SQL"
         self._bound: dict[str, _BoundTask] = {}
-        self._hint_model: Optional[HintAwareCostModel] = None
+        #: This strategy's optimizer configuration on the database it
+        #: last bound a task on.  Every bind there installs the *same*
+        #: object: the plan cache keys on its identity, so a fresh one per
+        #: bind would re-plan every statement.
+        self._installed: Optional[_InstalledConfig] = None
 
     # ------------------------------------------------------------------
     def bind_task(self, db: Database, task: ModelTask) -> float:
@@ -110,24 +114,32 @@ class TightStrategy(Strategy):
             replace=True,
         )
 
-        if self.optimized:
-            if self._hint_model is None or db.optimizer_config.cost_model is not self._hint_model:
-                self._hint_model = HintAwareCostModel(db.udfs)
-                db.optimizer_config = OptimizerConfig(
-                    cost_model=self._hint_model, use_hints=True
-                )
-            self._hint_model.register_selectivity(estimator)
-            self._hint_model.add_compiled(task.compiled)
-        else:
-            db.optimizer_config = OptimizerConfig(
-                cost_model=DefaultCostModel(
-                    udf_cost_per_row=cost_per_row / SECONDS_PER_COST_UNIT
+        installed = self._installed
+        if installed is None or installed.db is not db:
+            installed = self._installed = _InstalledConfig(
+                db,
+                OptimizerConfig(
+                    cost_model=(
+                        HintAwareCostModel(db.udfs)
+                        if self.optimized
+                        else DefaultCostModel()
+                    ),
+                    use_hints=self.optimized,
                 ),
-                use_hints=False,
             )
+        cost_model = installed.config.cost_model
+        if isinstance(cost_model, HintAwareCostModel):
+            cost_model.register_selectivity(estimator)
+            cost_model.add_compiled(task.compiled)
+        else:
+            cost_model.udf_cost_per_row = cost_per_row / SECONDS_PER_COST_UNIT
+        if not self._has_bound(installed):
+            installed.previous = db.optimizer_config
+        db.optimizer_config = installed.config
 
         load_seconds = time.perf_counter() - started
         self._bound[task.udf_name().lower()] = _BoundTask(
+            installed=installed,
             task=task,
             runner=runner,
             load_seconds=load_seconds,
@@ -140,6 +152,20 @@ class TightStrategy(Strategy):
         if entry is not None:
             entry.runner.unload(db)
         db.udfs.unregister(task.udf_name())
+        if entry is None:
+            return
+        installed = entry.installed
+        if installed.previous is not None and not self._has_bound(installed):
+            # Last task gone: queries that follow on this database are
+            # costed as they were before the first bind.
+            if db.optimizer_config is installed.config:
+                db.optimizer_config = installed.previous
+            installed.previous = None
+
+    def _has_bound(self, installed: "_InstalledConfig") -> bool:
+        return any(
+            entry.installed is installed for entry in self._bound.values()
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -207,10 +233,25 @@ class TightStrategy(Strategy):
         )
 
 
-class _BoundTask:
-    __slots__ = ("task", "runner", "load_seconds", "model_bytes")
+class _InstalledConfig:
+    """The configuration a strategy installs on one database, and the
+    one it displaced while any of its tasks is bound there."""
 
-    def __init__(self, task, runner, load_seconds, model_bytes) -> None:
+    __slots__ = ("db", "config", "previous")
+
+    def __init__(self, db: Database, config: OptimizerConfig) -> None:
+        self.db = db
+        self.config = config
+        self.previous: Optional[OptimizerConfig] = None
+
+
+class _BoundTask:
+    __slots__ = ("installed", "task", "runner", "load_seconds", "model_bytes")
+
+    def __init__(
+        self, installed, task, runner, load_seconds, model_bytes
+    ) -> None:
+        self.installed = installed
         self.task = task
         self.runner = runner
         self.load_seconds = load_seconds

@@ -6,6 +6,7 @@ import pytest
 from repro.core import Dl2SqlModel, compile_model
 from repro.engine import Database
 from repro.errors import ExecutionError
+from repro.obs.metrics import MetricsRegistry
 from repro.tensor import build_student_cnn
 
 
@@ -120,3 +121,45 @@ class TestResults:
         assert second_result.probabilities.shape == (2,)
         # And the first model still works after the second ran.
         assert first.infer(db, x).probabilities.shape == (3,)
+
+
+class TestPlannedOncePerModel:
+    def test_later_keyframes_are_plan_cache_hits(self):
+        """A step is planned on the first inference; every later keyframe
+        reuses the plan (folding on), whatever its value range, and the
+        program still computes what ``repro.tensor`` does."""
+        model = build_student_cnn(
+            input_shape=(1, 8, 8), num_classes=3, channels=(3, 3, 3), seed=4
+        )
+        compiled = compile_model(model)
+        metrics = MetricsRegistry()
+        folded = Database(metrics=metrics)
+        unfolded = Database(fold_constants=False)
+        runners = [(db, Dl2SqlModel(compiled)) for db in (folded, unfolded)]
+        for db, runner in runners:
+            runner.load(db)
+
+        rng = np.random.default_rng(11)
+        # Growing magnitudes: each keyframe's values leave the previous
+        # keyframe's range, which used to discard the cached plans.
+        keyframes = [
+            rng.normal(size=(1, 8, 8)) * (index + 1) for index in range(11)
+        ]
+        misses_after_first = None
+        for keyframe in keyframes:
+            outputs = []
+            for db, runner in runners:
+                result = runner.infer(db, keyframe)
+                assert result.class_index == model.predict_class(keyframe)
+                table = db.table(compiled.output_table)
+                outputs.append(
+                    (table.column("TupleID").data, table.column("Value").data)
+                )
+            (ids, values), (expected_ids, expected_values) = outputs
+            np.testing.assert_array_equal(ids, expected_ids)
+            np.testing.assert_allclose(values, expected_values, rtol=0, atol=1e-12)
+            misses = metrics.get("plan_cache_misses_total").value
+            if misses_after_first is None:
+                misses_after_first = misses
+            assert misses == misses_after_first
+        assert misses_after_first > 0

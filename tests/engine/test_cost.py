@@ -47,6 +47,17 @@ class TestStatistics:
         provider.invalidate("t")
         assert provider.stats_for("t") is not first
 
+    def test_provider_lets_go_of_tables_dropped_behind_its_back(self, db):
+        """Lazy stats reference their columns; ``Catalog.drop`` (DL2SQL's
+        unload path) tells the provider nothing."""
+        provider = db.statistics
+        for index in range(200):
+            name = f"scratch_{index}"
+            db.create_table_from_dict(name, {"a": [index]})
+            provider.exact_stats_for(name)
+            db.catalog.drop(name)
+        assert len(provider._cache) <= 130  # the live table + one doubling
+
     def test_overrides_win(self, db):
         provider = StatisticsProvider(db.catalog)
         provider.set_override("t", TableStats(row_count=5, columns={}))

@@ -9,10 +9,16 @@ the pass performs (constant folds, tautology drops, contradiction
 pruning, statistics-driven range proofs).
 """
 
+import json
+
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, statistics
 from repro.engine.logical import EmptyScan, walk_plan
+from repro.obs.metrics import MetricsRegistry
+from repro.storage import persist
+from repro.storage.column import Column
+from repro.storage.partition import build_zone_map
 from tests.engine.differential import build_engine, normalize_rows
 from tests.engine.test_null_semantics import CORPUS, ORDERED_CORPUS, TABLES
 
@@ -200,6 +206,115 @@ class TestStatisticsStaleness:
         # cached (pruned) plan stays valid.
         db.execute("INSERT INTO s VALUES (5)")
         assert db.query(sql) == []
+
+
+class TestRevalidationContract:
+    """A plan assumes only what justified a rewrite of it; reading a
+    statistic assumes nothing."""
+
+    @staticmethod
+    def build(**options):
+        metrics = MetricsRegistry()
+        return Database(metrics=metrics, **options), metrics
+
+    @staticmethod
+    def misses(metrics) -> float:
+        return metrics.get("plan_cache_misses_total").value
+
+    def test_fold_without_action_survives_any_data(self):
+        # v carries a NULL from the start, so nothing is proven about it:
+        # the fold reads v's range, rewrites nothing, and no kernel
+        # annotation is made.
+        sql = "SELECT v FROM s WHERE v > 2.0"
+        folded, metrics = self.build()
+        unfolded, _ = self.build(fold_constants=False)
+        contents = [
+            {"k": [1, 2, 3], "v": [1.0, None, 3.0]},
+            {"k": [1, 2, 3], "v": [100.0, -100.0, 2.5]},  # out of range
+            {"k": [1, None, 3], "v": [None, None, 7.0]},  # first NULL in k
+        ]
+        for step, data in enumerate(contents):
+            for db in (folded, unfolded):
+                db.create_table_from_dict("s", data, replace=True)
+            assert_fold_parity(folded, unfolded, sql)
+            assert self.misses(metrics) == 1, f"re-planned at step {step}"
+
+    @pytest.mark.parametrize(
+        "sql, rows_after",
+        [
+            ("SELECT v FROM s WHERE v < 100", [(1,), (2,), (3,)]),  # drop_true
+            ("SELECT v FROM s WHERE v > 100", [(200,)]),  # empty_scan
+        ],
+    )
+    def test_rewritten_plan_replans_only_outside_its_range(
+        self, sql, rows_after
+    ):
+        db, metrics = self.build()
+        db.execute("CREATE TABLE s (v INT64)")
+        db.execute("INSERT INTO s VALUES (1), (3)")
+        db.query(sql)
+        db.execute("INSERT INTO s VALUES (2)")  # inside [1, 3]
+        db.query(sql)
+        assert self.misses(metrics) == 1
+        db.execute("INSERT INTO s VALUES (200)")
+        assert sorted(db.query(sql)) == rows_after
+        assert self.misses(metrics) == 2
+
+    def test_nonnull_annotation_survives_widening_not_first_null(self):
+        sql = "SELECT v + 1.0 FROM s"
+        db, metrics = self.build()
+        db.execute("CREATE TABLE s (v FLOAT64)")
+        db.execute("INSERT INTO s VALUES (1.0), (2.0)")
+        db.query(sql)
+        db.execute("INSERT INTO s VALUES (-1000.0), (1000.0)")
+        assert len(db.query(sql)) == 4
+        assert self.misses(metrics) == 1
+        db.execute("INSERT INTO s VALUES (NULL)")
+        assert normalize_rows(db.query(sql)) == normalize_rows(
+            [(2.0,), (3.0,), (-999.0,), (1001.0,), (None,)]
+        )
+        assert self.misses(metrics) == 2
+
+    def test_nullability_revalidation_leaves_bounds_unread(self):
+        db, _ = self.build()
+        db.execute("CREATE TABLE s (v FLOAT64)")
+        db.execute("INSERT INTO s VALUES (1.0), (2.0)")
+        sql = "SELECT v + 1.0 FROM s"
+        db.query(sql)
+        db.execute("INSERT INTO s VALUES (3.0)")
+        db.query(sql)
+        stats = db.statistics.exact_stats_for("s").column("v")
+        assert stats._null_count == 0 and stats._min is statistics._UNREAD
+
+    def test_distinct_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+        distinct_count = Column.distinct_count
+        monkeypatch.setattr(
+            Column,
+            "distinct_count",
+            lambda column: calls.append(column.name) or distinct_count(column),
+        )
+        db, _ = self.build()
+        db.create_table_from_dict("s", {"k": [1, 2, 2], "v": [1.0, 2.0, 3.0]})
+        stats = db.statistics.exact_stats_for("s")
+        assert stats.column("k").null_count == 0
+        assert (stats.column("v").min_value, stats.column("v").max_value) == (
+            1.0,
+            3.0,
+        )
+        assert calls == []
+        assert stats.column("k").distinct == 2
+        assert stats.column("k").distinct == 2
+        assert calls == ["k"]
+
+    def test_zone_map_round_trips_through_manifest(self):
+        table = Database().create_table_from_dict(
+            "s", {"k": [1, 2, 2, None], "v": [1.0, 2.0, 3.0, 4.0]}
+        )
+        zone = build_zone_map(table.columns)
+        payload = json.loads(json.dumps(persist._zone_to_json(zone)))
+        assert persist._zone_from_json(payload) == zone
+        assert payload["k"] == {"distinct": 3, "min": 1, "max": 2, "nulls": 1}
 
 
 class TestMaskFreeKernels:

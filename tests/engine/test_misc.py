@@ -53,6 +53,23 @@ class TestPlanCache:
         second = db.explain(sql).plan
         assert first is not second
 
+    def test_recycled_config_id_does_not_alias_a_plan(self, db):
+        """A collected config's id() can be handed to a new one; the
+        entry keeps its config and the hit compares with ``is``."""
+        from repro.engine.optimizer import OptimizerConfig
+
+        sql = "SELECT a FROM t WHERE a > 1"
+        db.execute(sql)
+        statement = db._parse_cached(sql)
+        old_key = (id(statement), id(db.optimizer_config))
+        entry = db._plan_cache[old_key]
+        assert entry.config is db.optimizer_config
+        # What a recycled id would look like: the other config's key
+        # leads to the entry planned under the first one.
+        db.optimizer_config = OptimizerConfig(use_hints=True)
+        db._plan_cache[(id(statement), id(db.optimizer_config))] = entry
+        assert db._optimized_plan(statement) is not entry.plan
+
     def test_clear_plan_cache(self, db):
         db.execute("SELECT a FROM t")
         db.clear_plan_cache()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.hints import HintAwareCostModel
-from repro.strategies import QueryType, TightStrategy
+from repro.strategies import LooseStrategy, QueryType, TightStrategy
 from repro.workload.benchmark import QueryBenchmark
 from repro.workload.queries import QueryGenerator
 
@@ -62,6 +62,49 @@ class TestBinding:
             if n.startswith(detect_task.compiled.table_prefix)
         ]
         assert leftovers == []
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_last_unbind_restores_config_and_rebind_reuses_it(
+        self, setup, detect_task, classify_task, optimized
+    ):
+        """The plan cache keys on the config's identity: a fresh object
+        per bind would turn every cached statement into a miss."""
+        _, db, _ = setup
+        before = db.optimizer_config
+        strategy = TightStrategy(optimized=optimized)
+        strategy.bind_task(db, detect_task)
+        installed = db.optimizer_config
+        assert installed is not before
+        strategy.bind_task(db, classify_task)
+        assert db.optimizer_config is installed
+        strategy.unbind_task(db, detect_task)
+        assert db.optimizer_config is installed  # classify still bound
+        strategy.unbind_task(db, classify_task)
+        assert db.optimizer_config is before
+        strategy.bind_task(db, detect_task)
+        assert db.optimizer_config is installed
+
+    def test_db_udf_after_op_unbind_infers_as_on_fresh_database(
+        self, setup, detect_task
+    ):
+        """Ledger observation 6: a leftover hint-aware cost model placed
+        DB-UDF's nUDF differently, so fewer keyframes reached the model."""
+        bench, used, generator = setup
+        query = generator.make_query(QueryType.LEARNING_DEPENDS_ON_DB, 0.3)
+
+        def loose_inferred(db):
+            strategy = LooseStrategy()
+            strategy.bind_task(db, detect_task)
+            try:
+                result = strategy.run(db, query, {"detect": detect_task})
+            finally:
+                strategy.unbind_task(db, detect_task)
+            return result.details["inferred_rows"]
+
+        tight = TightStrategy(optimized=True)
+        tight.bind_task(used, detect_task)
+        tight.unbind_task(used, detect_task)
+        assert loose_inferred(used) == loose_inferred(bench.fresh_database())
 
     def test_names(self):
         assert TightStrategy().name == "DL2SQL"
