@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BatchedDl2SqlModel,
     Dl2SqlModel,
     PreJoin,
     compile_model,
@@ -48,7 +47,7 @@ def _per_frame_costs(model, frames, batch_sizes=(1, 8, 32)):
     per_sample_each = (time.perf_counter() - started) / len(frames)
 
     db2 = Database()
-    batch_runner = BatchedDl2SqlModel(batched)
+    batch_runner = Dl2SqlModel(batched)
     batch_runner.load(db2)
     batch_runner.infer_batch(db2, frames[:1])    # warm plan caches
     rows = []
@@ -115,7 +114,7 @@ def test_batched_parity_at_scale(benchmark, bench_dataset):
     frames = bench_dataset.sample_keyframes(16)
     batched = compile_model_batched(model, prejoin=PreJoin.FOLD)
     db = Database()
-    runner = BatchedDl2SqlModel(batched)
+    runner = Dl2SqlModel(batched)
     runner.load(db)
 
     result = benchmark.pedantic(

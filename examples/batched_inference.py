@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from repro.core import (
-    BatchedDl2SqlModel,
     Dl2SqlModel,
     PreJoin,
     compile_model,
@@ -38,7 +37,7 @@ def main() -> None:
     print(" ", batched.steps[0].sql[:150], "...\n")
 
     db = Database()
-    runner = BatchedDl2SqlModel(batched)
+    runner = Dl2SqlModel(batched)
     runner.load(db)
     runner.infer_batch(db, frames[:1])          # warm plan caches
     started = time.perf_counter()

@@ -12,8 +12,12 @@
 * **layer infos** — the shape bookkeeping the customized cost model
   (Eqs. 3–8) consumes.
 
-The running value between steps is a flat ``{TupleID, Value}`` temp table
-(CHW order).  See :mod:`repro.core.sqlgen` for the statement shapes.
+The running value between steps is a flat ``{[BatchID,] TupleID, Value}``
+temp table (CHW order).  :func:`compile_model` emits the per-keyframe
+program; :func:`compile_model_batched` emits the same program with a
+``BatchID`` key on every per-frame table, so one execution infers a whole
+batch ("the nUDF is performed in a batch manner").  See
+:mod:`repro.core.sqlgen` for the statement shapes.
 """
 
 from __future__ import annotations
@@ -100,7 +104,12 @@ class LayerInfo:
 
 @dataclass
 class CompiledModel:
-    """The full compilation artifact."""
+    """The full compilation artifact.
+
+    A batched artifact (``batched``, set by :func:`compile_model_batched`)
+    has the same tables, layer infos, blocks and step kinds as the
+    per-sample one; its per-frame tables carry a leading ``BatchID``.
+    """
 
     model_name: str
     input_shape: tuple[int, ...]
@@ -117,8 +126,10 @@ class CompiledModel:
     #: Exact statistics for every intermediate table the program creates:
     #: table name -> {"rows": int, "ndv": {column: int}}.  This is what the
     #: customized cost model (Eqs. 3-8) knows and the default DBMS model
-    #: does not.
+    #: does not.  Rows are per keyframe: a batched run of N frames holds N
+    #: times as many.
     table_stats: dict[str, dict] = field(default_factory=dict)
+    batched: bool = False
 
     def static_bytes(self) -> int:
         """Full relational storage footprint: parameter tables plus the
@@ -155,10 +166,20 @@ def compile_model(model: Model, prejoin: PreJoin = PreJoin.NONE) -> CompiledMode
     return _Compiler(model, prejoin).run()
 
 
+def compile_model_batched(
+    model: Model, prejoin: PreJoin = PreJoin.NONE
+) -> CompiledModel:
+    """Compile ``model`` into a program that infers a batch of keyframes;
+    run it with :meth:`repro.core.runner.Dl2SqlModel.infer_batch`."""
+    return _Compiler(model, prejoin, batched=True).run()
+
+
 class _Compiler:
-    def __init__(self, model: Model, prejoin: PreJoin) -> None:
+    def __init__(self, model: Model, prejoin: PreJoin,
+                 batched: bool = False) -> None:
         self._model = model
         self._prejoin = prejoin
+        self._batched = batched
         self._names = NameScheme(model.name)
         self._steps: list[CompiledStep] = []
         self._static: list[Table] = []
@@ -191,6 +212,7 @@ class _Compiler:
             layer_infos=self._infos,
             table_prefix=self._names.prefix(),
             table_stats=self._table_stats,
+            batched=self._batched,
         )
 
     # ------------------------------------------------------------------
@@ -379,7 +401,8 @@ class _Compiler:
             )
             self._emit(
                 sqlgen.conv_prejoined_sql(
-                    out_table, self._current_table, kernel_map.name, out_plane
+                    out_table, self._current_table, kernel_map.name, out_plane,
+                    batched=self._batched,
                 ),
                 kind="conv",
                 block=conv_block,
@@ -398,6 +421,7 @@ class _Compiler:
                         mapping_table.name,
                         kernel_table.name,
                         out_plane,
+                        batched=self._batched,
                     ),
                     kind="conv",
                     block=conv_block,
@@ -407,7 +431,8 @@ class _Compiler:
                 feature_table = self._next_table(f"{layer.name}_fm")
                 self._emit(
                     sqlgen.reshape_sql(
-                        feature_table, self._current_table, mapping_table.name
+                        feature_table, self._current_table, mapping_table.name,
+                        batched=self._batched,
                     ),
                     kind="reshape",
                     block=self._reshape_block_label(),
@@ -421,7 +446,8 @@ class _Compiler:
                 )
                 self._emit(
                     sqlgen.conv_sql(
-                        out_table, feature_table, kernel_table.name, out_plane
+                        out_table, feature_table, kernel_table.name, out_plane,
+                        batched=self._batched,
                     ),
                     kind="conv",
                     block=conv_block,
@@ -437,7 +463,8 @@ class _Compiler:
             biased = self._next_table(f"{layer.name}_biased")
             self._emit(
                 sqlgen.bias_add_sql(
-                    biased, self._current_table, bias_table.name, out_plane
+                    biased, self._current_table, bias_table.name, out_plane,
+                    batched=self._batched,
                 ),
                 kind="bias",
                 block=conv_block,
@@ -470,7 +497,7 @@ class _Compiler:
             self._emit(
                 sqlgen.bn_running_sql(
                     out_table, self._current_table, params_table.name,
-                    plane, layer.eps,
+                    plane, layer.eps, batched=self._batched,
                 ),
                 kind="bn",
                 block=block,
@@ -479,7 +506,10 @@ class _Compiler:
         else:
             stats_table = self._next_table(f"{layer.name}_bnstats")
             self._emit(
-                sqlgen.bn_stats_sql(stats_table, self._current_table, plane),
+                sqlgen.bn_stats_sql(
+                    stats_table, self._current_table, plane,
+                    batched=self._batched,
+                ),
                 kind="bn",
                 block=block,
                 output_table=stats_table,
@@ -488,7 +518,7 @@ class _Compiler:
             self._emit(
                 sqlgen.bn_apply_sql(
                     out_table, self._current_table, stats_table,
-                    params_table.name, plane, layer.eps,
+                    params_table.name, plane, layer.eps, batched=self._batched,
                 ),
                 kind="bn",
                 block=block,
@@ -513,7 +543,9 @@ class _Compiler:
             # input, or a block entry shared with a shortcut path).
             copied = self._next_table(f"{layer.name}_copy")
             self._emit(
-                sqlgen.copy_sql(copied, self._current_table),
+                sqlgen.copy_sql(
+                    copied, self._current_table, batched=self._batched
+                ),
                 kind="relu",
                 block=block,
                 output_table=copied,
@@ -556,7 +588,7 @@ class _Compiler:
             intermediate = self._next_table(f"{layer.name}_poolin")
             first, second = sqlgen.pooling_two_step_sql(
                 intermediate, out_table, self._current_table,
-                pool_map.name, aggregate,
+                pool_map.name, aggregate, batched=self._batched,
             )
             self._emit(first, kind="pool", block="Pooling",
                        output_table=intermediate)
@@ -567,7 +599,8 @@ class _Compiler:
         else:
             self._emit(
                 sqlgen.pooling_fused_sql(
-                    out_table, self._current_table, pool_map.name, aggregate
+                    out_table, self._current_table, pool_map.name, aggregate,
+                    batched=self._batched,
                 ),
                 kind="pool",
                 block="Pooling",
@@ -610,7 +643,10 @@ class _Compiler:
         )
         out_table = self._next_table(f"{layer.name}_fc")
         self._emit(
-            sqlgen.fc_sql(out_table, self._current_table, weight_table.name),
+            sqlgen.fc_sql(
+                out_table, self._current_table, weight_table.name,
+                batched=self._batched,
+            ),
             kind="fc",
             block="FC",
             output_table=out_table,
@@ -623,7 +659,10 @@ class _Compiler:
             )
             biased = self._next_table(f"{layer.name}_biased")
             self._emit(
-                sqlgen.fc_bias_sql(biased, self._current_table, bias_table.name),
+                sqlgen.fc_bias_sql(
+                    biased, self._current_table, bias_table.name,
+                    batched=self._batched,
+                ),
                 kind="fc",
                 block="FC",
                 output_table=biased,
@@ -646,7 +685,7 @@ class _Compiler:
         exp_table = self._next_table(f"{layer.name}_exp")
         out_table = self._next_table(f"{layer.name}_soft")
         first, second = sqlgen.softmax_sql(
-            exp_table, out_table, self._current_table
+            exp_table, out_table, self._current_table, batched=self._batched
         )
         self._emit(first, kind="softmax", block="Classification",
                    output_table=exp_table)
@@ -682,7 +721,10 @@ class _Compiler:
             )
             out_table = self._next_table(f"{layer.name}_{which}")
             self._emit(
-                sqlgen.fc_sql(out_table, self._current_table, weight_table.name),
+                sqlgen.fc_sql(
+                    out_table, self._current_table, weight_table.name,
+                    batched=self._batched,
+                ),
                 kind="fc",
                 block=block,
                 output_table=out_table,
@@ -694,7 +736,8 @@ class _Compiler:
         qk_table = self._next_table(f"{layer.name}_qk")
         self._emit(
             sqlgen.elementwise_product_sql(
-                qk_table, projections["query"], projections["key"], scale
+                qk_table, projections["query"], projections["key"], scale,
+                batched=self._batched,
             ),
             kind="attention",
             block=block,
@@ -703,7 +746,9 @@ class _Compiler:
         self._record_flat(qk_table, (layer.out_features,))
         exp_table = self._next_table(f"{layer.name}_exp")
         weights_table = self._next_table(f"{layer.name}_weights")
-        first, second = sqlgen.softmax_sql(exp_table, weights_table, qk_table)
+        first, second = sqlgen.softmax_sql(
+            exp_table, weights_table, qk_table, batched=self._batched
+        )
         self._emit(first, kind="attention", block=block, output_table=exp_table)
         self._record_flat(exp_table, (layer.out_features,))
         self._emit(second, kind="attention", block=block,
@@ -712,7 +757,8 @@ class _Compiler:
         out_table = self._next_table(f"{layer.name}_att")
         self._emit(
             sqlgen.elementwise_product_sql(
-                out_table, weights_table, projections["value"]
+                out_table, weights_table, projections["value"],
+                batched=self._batched,
             ),
             kind="attention",
             block=block,
@@ -759,7 +805,9 @@ class _Compiler:
         block = self._conv_block_label()
         out_table = self._next_table(f"{layer.name}_res")
         self._emit(
-            sqlgen.residual_add_sql(out_table, main_table, shortcut_table),
+            sqlgen.residual_add_sql(
+                out_table, main_table, shortcut_table, batched=self._batched
+            ),
             kind="residual",
             block=block,
             output_table=out_table,
@@ -789,7 +837,9 @@ class _Compiler:
 
         concat_table = self._next_table(f"{layer.name}_concat")
         self._emit(
-            sqlgen.copy_sql(concat_table, self._current_table),
+            sqlgen.copy_sql(
+                concat_table, self._current_table, batched=self._batched
+            ),
             kind="dense",
             block="Dense",
             output_table=concat_table,
@@ -812,6 +862,7 @@ class _Compiler:
                     concat_table,
                     self._current_table,
                     total_channels * plane,
+                    batched=self._batched,
                 ),
                 kind="dense",
                 block="Dense",

@@ -1,22 +1,18 @@
-"""Batched DL2SQL: parity with per-sample inference + amortization."""
+"""Batched DL2SQL: the batched artifact, parity, amortization, one runner."""
 
 import numpy as np
 import pytest
 
-from repro.core import Dl2SqlModel, PreJoin, compile_model
-from repro.core.batch import (
-    BatchedDl2SqlModel,
+from repro.core import (
+    Dl2SqlModel,
+    PreJoin,
+    compile_model,
     compile_model_batched,
 )
 from repro.engine import Database
-from repro.errors import CompileError, ExecutionError
-from repro.tensor import (
-    BasicAttention,
-    Flatten,
-    Model,
-    build_resnet,
-    build_student_cnn,
-)
+from repro.errors import ExecutionError
+from repro.tensor import build_resnet, build_student_cnn
+from tests.core.test_parity import attention_model, deconv_model, dense_model
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +29,49 @@ def batch():
     return [rng.normal(size=(1, 8, 8)) for _ in range(6)]
 
 
+ARTIFACT_MODELS = {
+    "student": lambda: build_student_cnn(
+        input_shape=(1, 8, 8), num_classes=3, channels=(4, 4, 4), seed=11
+    ),
+    "resnet8": lambda: build_resnet(
+        8, input_shape=(1, 8, 8), num_classes=3, seed=2
+    ),
+    "attention": attention_model,
+    "dense": dense_model,
+    "deconv": deconv_model,
+}
+
+
+def artifact_shape(compiled):
+    return {
+        "layer_infos": [
+            (i.kind, i.input_shape, i.output_shape) for i in compiled.layer_infos
+        ],
+        "table_stats": sorted(compiled.table_stats),
+        "blocks": compiled.blocks(),
+        "step_kinds": [step.kind for step in compiled.steps],
+    }
+
+
+class TestBatchedArtifact:
+    @pytest.mark.parametrize("prejoin", list(PreJoin))
+    @pytest.mark.parametrize("name", list(ARTIFACT_MODELS))
+    def test_matches_per_sample_artifact(self, name, prejoin):
+        """One compiler: batching adds a key column, never a step, a layer
+        record or a statistic."""
+        model = ARTIFACT_MODELS[name]()
+        per_sample = compile_model(model, prejoin=prejoin)
+        batched = compile_model_batched(model, prejoin=prejoin)
+        assert batched.batched and not per_sample.batched
+        assert artifact_shape(batched) == artifact_shape(per_sample)
+
+
 class TestBatchedParity:
     @pytest.mark.parametrize("prejoin", list(PreJoin))
     def test_matches_tensor_forward(self, student, batch, prejoin):
         compiled = compile_model_batched(student, prejoin=prejoin)
         db = Database()
-        runner = BatchedDl2SqlModel(compiled)
+        runner = Dl2SqlModel(compiled)
         runner.load(db)
         result = runner.infer_batch(db, batch)
         expected = student.forward_batch(batch)
@@ -48,7 +81,7 @@ class TestBatchedParity:
         batched = compile_model_batched(student)
         per_sample = compile_model(student)
         db = Database()
-        batch_runner = BatchedDl2SqlModel(batched)
+        batch_runner = Dl2SqlModel(batched)
         batch_runner.load(db)
         sample_db = Database()
         sample_runner = Dl2SqlModel(per_sample)
@@ -59,12 +92,13 @@ class TestBatchedParity:
             sample_runner.infer(sample_db, image).label for image in batch
         ]
         assert batch_result.labels == sample_labels
+        assert sample_runner.infer_batch(sample_db, batch).labels == sample_labels
 
     def test_resnet_batched(self, batch):
         model = build_resnet(5, input_shape=(1, 8, 8), num_classes=3, seed=2)
         compiled = compile_model_batched(model)
         db = Database()
-        runner = BatchedDl2SqlModel(compiled)
+        runner = Dl2SqlModel(compiled)
         runner.load(db)
         result = runner.infer_batch(db, batch[:3])
         expected = model.forward_batch(batch[:3])
@@ -73,7 +107,7 @@ class TestBatchedParity:
     def test_single_item_batch(self, student, batch):
         compiled = compile_model_batched(student)
         db = Database()
-        runner = BatchedDl2SqlModel(compiled)
+        runner = Dl2SqlModel(compiled)
         runner.load(db)
         result = runner.infer_batch(db, batch[:1])
         assert result.batch_size == 1
@@ -97,7 +131,7 @@ class TestBatchedAmortization:
         per_sample_seconds = time.perf_counter() - started
 
         db2 = Database()
-        batch_runner = BatchedDl2SqlModel(batched)
+        batch_runner = Dl2SqlModel(batched)
         batch_runner.load(db2)
         batch_runner.infer_batch(db2, batch[:1])  # warm caches
         started = time.perf_counter()
@@ -111,32 +145,33 @@ class TestBatchedAmortization:
 
 class TestBatchedErrors:
     def test_empty_batch_rejected(self, student):
-        compiled = compile_model_batched(student)
-        db = Database()
-        runner = BatchedDl2SqlModel(compiled)
-        runner.load(db)
-        with pytest.raises(ExecutionError, match="empty"):
-            runner.infer_batch(db, [])
+        for compiled in (compile_model_batched(student), compile_model(student)):
+            db = Database()
+            runner = Dl2SqlModel(compiled)
+            runner.load(db)
+            with pytest.raises(ExecutionError, match="empty batch"):
+                runner.infer_batch(db, [])
 
     def test_shape_mismatch_rejected(self, student, batch):
         compiled = compile_model_batched(student)
         db = Database()
-        runner = BatchedDl2SqlModel(compiled)
+        runner = Dl2SqlModel(compiled)
         runner.load(db)
         with pytest.raises(ExecutionError, match="shape"):
             runner.infer_batch(db, [np.zeros((1, 9, 9))])
 
-    def test_attention_unsupported(self):
-        model = Model(
-            "att", (1, 4, 4), [Flatten(), BasicAttention(16, 4)]
-        )
-        with pytest.raises(CompileError, match="batched compiler"):
-            compile_model_batched(model)
+    def test_infer_points_to_infer_batch(self, student, batch):
+        compiled = compile_model_batched(student)
+        db = Database()
+        runner = Dl2SqlModel(compiled)
+        runner.load(db)
+        with pytest.raises(ExecutionError, match="infer_batch"):
+            runner.infer(db, batch[0])
 
     def test_repeated_batches_clean_up(self, student, batch):
         compiled = compile_model_batched(student)
         db = Database()
-        runner = BatchedDl2SqlModel(compiled)
+        runner = Dl2SqlModel(compiled)
         runner.load(db)
         runner.infer_batch(db, batch[:2])
         tables_after_first = len(db.catalog.table_names())
@@ -146,12 +181,17 @@ class TestBatchedErrors:
     def test_unload(self, student, batch):
         compiled = compile_model_batched(student)
         db = Database()
-        runner = BatchedDl2SqlModel(compiled)
+        runner = Dl2SqlModel(compiled)
         runner.load(db)
         runner.infer_batch(db, batch[:1])
+        db.execute(
+            f"CREATE VIEW {compiled.table_prefix}top AS "
+            f"SELECT BatchID, TupleID FROM {compiled.output_table}"
+        )
         assert runner.unload(db) > 0
         leftovers = [
-            n for n in db.catalog.table_names()
+            n
+            for n in [*db.catalog.table_names(), *db.catalog.view_names()]
             if n.startswith(compiled.table_prefix)
         ]
         assert leftovers == []

@@ -2,13 +2,20 @@
 match the tensor framework bit-for-bit (within float tolerance).
 
 Each test compiles a tiny model containing the operator under test, runs
-SQL inference, and compares against the numpy forward pass.
+SQL inference, and compares against the numpy forward pass: one keyframe
+through the per-sample program, and a batch of three through the batched
+program.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import Dl2SqlModel, PreJoin, compile_model
+from repro.core import (
+    Dl2SqlModel,
+    PreJoin,
+    compile_model,
+    compile_model_batched,
+)
 from repro.engine import Database
 from repro.tensor import (
     AvgPool2d,
@@ -40,8 +47,16 @@ def sql_forward(model, x, prejoin=PreJoin.NONE):
     return runner.read_output(db)
 
 
+def sql_forward_batch(model, frames, prejoin=PreJoin.NONE):
+    db = Database()
+    runner = Dl2SqlModel(compile_model_batched(model, prejoin=prejoin))
+    runner.load(db)
+    return runner.infer_batch(db, frames).probabilities
+
+
 def check(model, seed=0, prejoin=PreJoin.NONE, atol=1e-9):
-    x = np.random.default_rng(seed).normal(size=model.input_shape)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=model.input_shape)
     expected = model.forward(x)
     got = sql_forward(model, x, prejoin)
     assert got.shape == tuple(expected.shape)
@@ -49,8 +64,32 @@ def check(model, seed=0, prejoin=PreJoin.NONE, atol=1e-9):
         f"max err {np.abs(got - expected).max()}"
     )
 
+    frames = [rng.normal(size=model.input_shape) for _ in range(3)]
+    expected = model.forward_batch(frames)
+    got = sql_forward_batch(model, frames, prejoin)
+    assert got.shape == expected.shape
+    assert np.allclose(got, expected, atol=1e-8), (
+        f"batched: max err {np.abs(got - expected).max()}"
+    )
+
 
 RNG = np.random.default_rng(42)
+
+
+def deconv_model():
+    return Model("deconv", (2, 4, 4), [Deconv2d(2, 3, 2, stride=2, rng=RNG)])
+
+
+def attention_model():
+    return Model("attn", (1, 4, 4), [Flatten(), BasicAttention(16, 6, rng=RNG)])
+
+
+def dense_model():
+    stages = [
+        [Conv2d(2, 2, 3, padding=1, rng=RNG), ReLU()],
+        [Conv2d(4, 2, 3, padding=1, rng=RNG), ReLU()],
+    ]
+    return Model("dense", (2, 4, 4), [DenseBlock(stages)])
 
 
 class TestSingleOperators:
@@ -75,7 +114,7 @@ class TestSingleOperators:
         check(Model("conv1", (3, 4, 4), [Conv2d(3, 2, 1, rng=RNG)]))
 
     def test_deconv(self):
-        check(Model("deconv", (2, 4, 4), [Deconv2d(2, 3, 2, stride=2, rng=RNG)]))
+        check(deconv_model())
 
     def test_max_pooling(self):
         check(Model("maxpool", (2, 6, 6), [MaxPool2d(2)]))
@@ -119,11 +158,7 @@ class TestSingleOperators:
         check(Model("soft", (1, 2, 2), [Flatten(), Softmax()]))
 
     def test_basic_attention(self):
-        check(
-            Model(
-                "attn", (1, 4, 4), [Flatten(), BasicAttention(16, 6, rng=RNG)]
-            )
-        )
+        check(attention_model())
 
 
 class TestBlocks:
@@ -149,11 +184,7 @@ class TestBlocks:
         check(Model("resid", (2, 5, 5), [ResidualBlock(main, shortcut)]))
 
     def test_dense_block(self):
-        stages = [
-            [Conv2d(2, 2, 3, padding=1, rng=RNG), ReLU()],
-            [Conv2d(4, 2, 3, padding=1, rng=RNG), ReLU()],
-        ]
-        check(Model("dense", (2, 4, 4), [DenseBlock(stages)]))
+        check(dense_model())
 
     def test_relu_on_model_input_is_copy_safe(self):
         """A leading ReLU must not mutate the input table in place."""

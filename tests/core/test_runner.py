@@ -98,10 +98,12 @@ class TestResults:
         runner = Dl2SqlModel(compiled)
         runner.load(db)
         rng = np.random.default_rng(0)
-        results = runner.infer_batch(
-            db, [rng.normal(size=(1, 8, 8)) for _ in range(3)]
-        )
-        assert len(results) == 3
+        frames = [rng.normal(size=(1, 8, 8)) for _ in range(3)]
+        result = runner.infer_batch(db, frames)
+        assert result.batch_size == 3
+        assert result.probabilities.shape == (3, 3)
+        assert result.labels == [runner.infer(db, f).label for f in frames]
+        assert set(result.block_seconds) == set(compiled.blocks())
 
     def test_two_models_coexist(self, compiled):
         db = Database()

@@ -1,5 +1,9 @@
 """Statement templates: parseability and structural checks."""
 
+import re
+
+import pytest
+
 from repro.core import sqlgen
 from repro.sql.ast_nodes import CreateTable, UpdateStatement
 from repro.sql.parser import parse_statement
@@ -113,3 +117,58 @@ class TestTemplates:
 
     def test_copy(self):
         assert_create(sqlgen.copy_sql("out", "src"), "out")
+
+
+#: template -> (render(batched), whether it groups, its per-frame join).
+BATCHED_CASES = {
+    "reshape": (lambda b: sqlgen.reshape_sql("o", "flat", "map", batched=b),
+                False, None),
+    "conv": (lambda b: sqlgen.conv_sql("o", "fm", "kern", 16, batched=b),
+             True, None),
+    "conv_fold": (lambda b: sqlgen.conv_fold_sql(
+        "o", "flat", "map", "kern", 16, batched=b), True, None),
+    "conv_prejoined": (lambda b: sqlgen.conv_prejoined_sql(
+        "o", "flat", "kmap", 16, batched=b), True, None),
+    "bias_add": (lambda b: sqlgen.bias_add_sql("o", "flat", "bias", 16, batched=b),
+                 False, None),
+    "pooling_two_step": (lambda b: sqlgen.pooling_two_step_sql(
+        "mid", "o", "flat", "pmap", "max", batched=b), True, None),
+    "pooling_fused": (lambda b: sqlgen.pooling_fused_sql(
+        "o", "flat", "pmap", "avg", batched=b), True, None),
+    "bn_stats": (lambda b: sqlgen.bn_stats_sql("s", "flat", 64, batched=b),
+                 True, None),
+    "bn_apply": (lambda b: sqlgen.bn_apply_sql(
+        "o", "flat", "s", "p", 64, batched=b), False, "A.BatchID = S.BatchID"),
+    "bn_running": (lambda b: sqlgen.bn_running_sql(
+        "o", "flat", "p", 64, batched=b), False, None),
+    "copy": (lambda b: sqlgen.copy_sql("o", "src", batched=b), False, None),
+    "residual_add": (lambda b: sqlgen.residual_add_sql(
+        "o", "main", "short", batched=b), False, "A.BatchID = B.BatchID"),
+    "fc": (lambda b: sqlgen.fc_sql("o", "flat", "w", batched=b), True, None),
+    "fc_bias": (lambda b: sqlgen.fc_bias_sql("o", "flat", "bias", batched=b),
+                False, None),
+    "softmax": (lambda b: sqlgen.softmax_sql("e", "o", "flat", batched=b),
+                True, "A.BatchID = M.BatchID"),
+    "elementwise_product": (lambda b: sqlgen.elementwise_product_sql(
+        "o", "a", "b", 0.5, batched=b), False, "A.BatchID = B.BatchID"),
+    "concat_insert": (lambda b: sqlgen.concat_insert_sql(
+        "concat", "stage", 128, batched=b), False, None),
+}
+
+
+class TestBatchedTemplates:
+    @pytest.mark.parametrize("name", list(BATCHED_CASES))
+    def test_batch_key_everywhere(self, name):
+        render, grouped, frame_join = BATCHED_CASES[name]
+        plain, batched = render(False), render(True)
+        plain = plain if isinstance(plain, tuple) else (plain,)
+        batched = batched if isinstance(batched, tuple) else (batched,)
+        assert not any("BatchID" in sql for sql in plain)
+        for sql in batched:
+            parse_statement(sql)
+            # Projected first, so positional INSERT ... SELECT lines up.
+            assert re.search(r"SELECT (\w+\.)?BatchID, ", sql)
+        if grouped:
+            assert re.search(r"GROUP BY (\w+\.)?BatchID", batched[-1])
+        if frame_join is not None:
+            assert frame_join in batched[0]
