@@ -161,16 +161,18 @@ def test_parallel_relational_pipeline(quick_mode):
     serial.close()
 
 
-def test_parallel_udf_latency_bound(quick_mode):
+def test_parallel_udf_latency_bound(quick_mode, monkeypatch):
     """The >=2x scenario: a latency-bound UDF (per-row stall, GIL
     released) overlaps across morsel workers even on one core.
 
     This is the regime the paper's DB-UDF strategy lives in — per-batch
     model inference dominated by accelerator/IO latency rather than
     Python compute — and where 4 workers must beat 1 by >=2x."""
+    from repro.engine import udf as udf_module
     from repro.engine.udf import BatchUdf
     from repro.storage.schema import DataType
 
+    monkeypatch.setattr(udf_module, "UDF_MORSEL_ROWS", 64)
     rows = 800 if quick_mode else 2000
     per_row_sleep = 5e-5
 
@@ -184,7 +186,7 @@ def test_parallel_udf_latency_bound(quick_mode):
         )
 
     tables = {"t": {"x": [float(i) for i in range(rows)]}}
-    serial, parallel = _parallel_pair(tables, udf_morsel_rows=64)
+    serial, parallel = _parallel_pair(tables)
     serial.register_udf(stall_udf())
     parallel.register_udf(stall_udf())
     sql = "SELECT sum(stall(x)) FROM t"

@@ -4,8 +4,8 @@ The content-hashed cache (:mod:`repro.engine.infer_cache`) short-circuits
 repeated model invocations on previously-seen rows.  This bench measures
 the cold-run/warm-run asymmetry — the acceptance bar is a warm run doing
 at least 5x fewer model invocations than the cold one with bit-identical
-results — and the morsel-parallel dispatch knob
-(``Database(udf_workers=...)``).
+results — and morsel-parallel dispatch of UDF batches on the engine's
+worker pool (``Database(workers=...)``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _make_db(
     num_rows: int,
     num_distinct: int,
 ) -> Database:
-    db = Database(udf_cache_bytes=cache_bytes, udf_workers=workers)
+    db = Database(udf_cache_bytes=cache_bytes, workers=workers)
     rng = np.random.default_rng(11)
     values = rng.integers(0, num_distinct, num_rows).astype(np.float64)
     db.create_table_from_dict("readings", {"value": values})

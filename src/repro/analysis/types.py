@@ -53,19 +53,18 @@ def aggregate_return_type(
 ) -> Optional[DataType]:
     """Result type of aggregate ``name`` over an argument of ``arg_dtype``.
 
-    Mirrors ``physical._compute_aggregate`` exactly, including the integer
-    accumulation path for ``sum`` and the min/max numeric passthrough.
+    Mirrors ``physical._finalize_aggregate`` and ``_compute_holistic``
+    exactly, including the integer accumulation path for ``sum`` /
+    ``sumIf`` and the min/max numeric passthrough.
     """
     lowered = name.lower()
     if lowered in ("count", "countif"):
         return DataType.INT64
-    if lowered == "sumif":
-        return DataType.FLOAT64
     if lowered == "grouparray":
         return DataType.BLOB
     if lowered == "any":
         return arg_dtype
-    if lowered == "sum":
+    if lowered in ("sum", "sumif"):
         if arg_dtype is None:
             return None
         if arg_dtype in (DataType.INT64, DataType.BOOL):
@@ -81,18 +80,22 @@ def aggregate_return_type(
 
 
 #: Aggregates whose result can never be NULL, regardless of input.
-#: ``count``/``countIf`` return 0 over empty groups and ``groupArray``
-#: returns an empty list; every other aggregate yields NULL when its
-#: group has no non-NULL argument rows (``physical._group_validity``).
-_NON_NULLABLE_AGGREGATES = frozenset(("count", "countif", "grouparray"))
+#: ``count``/``countIf``/``sumIf`` return 0 over empty groups and
+#: ``groupArray`` returns an empty list; every other aggregate yields
+#: NULL when its group has no non-NULL argument rows
+#: (``physical._group_validity``).
+_NON_NULLABLE_AGGREGATES = frozenset(
+    ("count", "countif", "sumif", "grouparray")
+)
 
 
 def aggregate_nullable(name: str) -> bool:
     """Whether aggregate ``name`` can produce NULL.
 
-    Mirrors ``physical._compute_aggregate``: SUM/AVG/MIN/MAX/stddev/var/
-    any/sumIf over an empty or all-NULL group are NULL; COUNT variants
-    and groupArray always produce a definite value.
+    Mirrors ``physical._finalize_aggregate`` and ``_compute_holistic``:
+    SUM/AVG/MIN/MAX/stddev/var/any over an empty or all-NULL group are
+    NULL; COUNT variants, sumIf and groupArray always produce a definite
+    value.
     """
     return name.lower() not in _NON_NULLABLE_AGGREGATES
 

@@ -114,12 +114,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     stats_parser.add_argument("--scale", type=int, default=1)
     stats_parser.add_argument("--seed", type=int, default=42)
     stats_parser.add_argument(
-        "--udf-workers",
-        type=int,
-        default=1,
-        help="threads for batch-UDF morsel dispatch (default 1 = inline)",
-    )
-    stats_parser.add_argument(
         "--udf-cache-mb",
         type=int,
         default=16,
@@ -441,7 +435,6 @@ def _cmd_stats(args) -> int:
     db = Database(
         metrics=registry,
         udf_cache_bytes=args.udf_cache_mb * (1 << 20),
-        udf_workers=args.udf_workers,
     )
     dataset.install(db)
     # A cheap stand-in nUDF: repeats of the same query surface the

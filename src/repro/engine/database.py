@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
@@ -236,8 +235,6 @@ class Database:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         udf_cache_bytes: int = 0,
-        udf_workers: int = 1,
-        udf_morsel_rows: int = 256,
         workers: Optional[int] = None,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
         fused_kernels: bool = True,
@@ -274,23 +271,12 @@ class Database:
             make_cache(udf_cache_bytes) if infer_cache is None else infer_cache
         )
         self.udfs.attach_cache(self.infer_cache)
-        #: Shared morsel executor for parallel UDF batches; one worker
-        #: means in-line execution (no threads, no dispatch overhead).
-        self.udf_workers = max(1, int(udf_workers))
-        self._udf_executor: Optional[ThreadPoolExecutor] = None
-        if self.udf_workers > 1:
-            self._udf_executor = ThreadPoolExecutor(
-                max_workers=self.udf_workers, thread_name_prefix="repro-udf"
-            )
-            self.udfs.attach_executor(
-                self._udf_executor, morsel_rows=udf_morsel_rows
-            )
-        #: Engine-wide morsel pool for partition-parallel operators
-        #: (filter/project morsels, hash-join partitions, aggregate
-        #: partials).  ``workers=None`` consults the ``REPRO_WORKERS``
-        #: environment variable so CI and the chaos harness can turn
-        #: parallelism on without code changes; one worker means every
-        #: operator runs inline and no threads exist.
+        #: The one morsel pool: filter/project morsels, hash-join
+        #: partitions, aggregate partials and UDF batch morsels.
+        #: ``workers=None`` consults the ``REPRO_WORKERS`` environment
+        #: variable so CI and the chaos harness can turn parallelism on
+        #: without code changes; one worker means every operator and
+        #: UDF batch runs inline and no threads exist.
         self._owns_parallel = parallel_pool is None
         if parallel_pool is not None:
             self.workers = parallel_pool.workers
@@ -302,19 +288,11 @@ class Database:
             self.parallel = MorselPool(
                 self.workers, morsel_rows, metrics=metrics
             )
-        #: When the engine pool is live and no dedicated UDF pool was
-        #: requested, UDF morsel dispatch shares the engine's executor.
-        #: This cannot deadlock: expressions containing UDF calls never
-        #: run on engine morsel workers (``_parallel_safe_expr`` excludes
-        #: them), so UDF morsels are only ever submitted from the
-        #: coordinator thread.
-        self._udf_executor_shared = (
-            self.parallel.enabled and self._udf_executor is None
-        )
-        if self._udf_executor_shared:
-            self.udfs.attach_executor(
-                self.parallel.executor, morsel_rows=udf_morsel_rows
-            )
+        #: Sharing it with UDF morsels cannot deadlock: expressions
+        #: containing UDF calls never run on pool workers
+        #: (``_parallel_safe_expr`` excludes them), so UDF morsels are
+        #: only ever submitted from the coordinator thread.
+        self.udfs.attach_pool(self.parallel)
         #: Fused expression kernels: single-pass compiled evaluators for
         #: filter/project expressions, keyed by SQL text + input schema +
         #: UDF registry generation.  On by default; ``fused_kernels=False``
@@ -585,14 +563,8 @@ class Database:
         return self.catalog.total_nbytes()
 
     def close(self) -> None:
-        """Release the worker pools (idempotent)."""
-        if self._udf_executor is not None:
-            self._udf_executor.shutdown(wait=True)
-            self._udf_executor = None
-            self.udfs.attach_executor(None)
-        if self._udf_executor_shared:
-            self.udfs.attach_executor(None)
-            self._udf_executor_shared = False
+        """Release the worker pool (idempotent).  UDF batches and
+        operators run inline afterwards."""
         if self._owns_parallel:
             self.parallel.shutdown()
 

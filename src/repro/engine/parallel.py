@@ -1,16 +1,14 @@
 """Morsel-driven parallelism for the whole relational pipeline.
 
-PR 2 parallelized UDF batches only; this module generalizes that morsel
-dispatch to every data-parallel operator stage: filter and project
-evaluation, partitioned hash-join matching, and partial aggregation.
-A :class:`MorselPool` owns one thread pool per database and hands
-operators three primitives:
+A :class:`MorselPool` owns the one thread pool of a database.  Every
+data-parallel stage runs on it: filter and project evaluation,
+partitioned hash-join matching, partial aggregation, and batches of
+parallel-safe UDFs.  It hands them three primitives:
 
 * :meth:`MorselPool.partition` — split ``num_rows`` into contiguous
   ``[start, stop)`` morsels of ``morsel_rows`` rows each;
 * :meth:`MorselPool.run` — execute thunks with fail-fast semantics (the
-  first worker error cancels every queued sibling, mirroring the UDF
-  morsel dispatch);
+  first worker error cancels every queued sibling);
 * :meth:`MorselPool.run_rows` — the combination operators actually use:
   partition, then run one task per morsel with the cooperative
   preamble (deadline/cancellation check plus the ``operator.morsel``
@@ -28,16 +26,17 @@ touch the frame slice they were handed, the shared
 :class:`~repro.engine.qcontext.QueryContext`/
 :class:`~repro.faults.injector.FaultInjector` (both thread-safe), and
 the metrics registry (lock-protected).  Expressions containing UDF
-calls or scalar subqueries never enter the pool — UDFs keep their own
-morsel dispatch, and subqueries execute nested statements on the owning
-database, which is coordinator-only state.
+calls or scalar subqueries never enter the pool as operator morsels —
+a UDF splits its own batch into morsels from the coordinator thread, so
+no pool task ever waits on another, and subqueries execute nested
+statements on the owning database, which is coordinator-only state.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING, Any, Callable, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 if TYPE_CHECKING:  # imported for annotations only
     from repro.engine.qcontext import QueryContext
@@ -46,7 +45,7 @@ if TYPE_CHECKING:  # imported for annotations only
 
 T = TypeVar("T")
 
-#: Default rows per engine morsel.  Larger than the UDF default (256):
+#: Default rows per engine morsel.  Larger than a UDF morsel (256):
 #: relational kernels are orders of magnitude cheaper per row than model
 #: inference, so smaller morsels would drown in dispatch overhead.
 DEFAULT_MORSEL_ROWS = 8192
@@ -89,11 +88,6 @@ class MorselPool:
     def enabled(self) -> bool:
         return self._executor is not None
 
-    @property
-    def executor(self) -> Optional[ThreadPoolExecutor]:
-        """The underlying executor (shared with UDF morsel dispatch)."""
-        return self._executor
-
     def should_parallelize(self, num_rows: int) -> bool:
         """True when splitting ``num_rows`` buys anything: the pool is
         live and there is more than one morsel of work."""
@@ -116,8 +110,8 @@ class MorselPool:
         With the pool disabled (or a single thunk) execution is inline
         on the calling thread.  Otherwise the first worker exception
         cancels every still-queued sibling and re-raises with the
-        worker's original traceback — the same contract as UDF morsel
-        dispatch, so a poisoned morsel never keeps burning pool slots.
+        worker's original traceback, so a poisoned morsel never keeps
+        burning pool slots.
         """
         if self._executor is None or len(thunks) <= 1:
             return [thunk() for thunk in thunks]
@@ -138,7 +132,7 @@ class MorselPool:
             if self.metrics is not None and cancelled:
                 self.metrics.counter(
                     "parallel_morsels_cancelled_total",
-                    "Queued engine morsels cancelled after a sibling failed",
+                    "Queued morsels cancelled after a sibling failed",
                 ).inc(cancelled)
             failed.result()  # re-raises with the worker's traceback
         return [future.result() for future in futures]
@@ -200,27 +194,3 @@ class MorselPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-
-
-# ----------------------------------------------------------------------
-# Partial-aggregate merge helpers
-# ----------------------------------------------------------------------
-def merge_additive(partials: list[Any]) -> Any:
-    """Merge per-morsel additive partials (counts, sums, sums of squares).
-
-    Addition is associative and commutative, so per-worker partial
-    states merge in any grouping; morsel order is preserved anyway for
-    determinism of float summation.
-    """
-    out = partials[0]
-    for partial in partials[1:]:
-        out = out + partial
-    return out
-
-
-def merge_elementwise(partials: list[Any], reducer: Callable[[Any, Any], Any]) -> Any:
-    """Merge per-morsel partials with an elementwise reducer (min/max)."""
-    out = partials[0]
-    for partial in partials[1:]:
-        out = reducer(out, partial)
-    return out

@@ -8,6 +8,7 @@ and BLOB payloads.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -27,7 +28,6 @@ import numpy as np
 from repro.errors import ExecutionError, PlanError
 from repro.engine.expressions import Evaluator, FunctionRegistry, Vector
 from repro.engine.frame import Frame, FrameColumn, concat_frames
-from repro.engine.parallel import merge_additive, merge_elementwise
 from repro.engine.logical import (
     Aggregate,
     AggregateSpec,
@@ -952,184 +952,282 @@ def _execute_aggregate(plan: Aggregate, ctx: ExecutionContext) -> Frame:
                 )
             )
 
-        pool = ctx.parallel
-        use_parallel = (
-            pool is not None and pool.should_parallelize(frame.num_rows)
-        )
         for spec in plan.aggregates:
-            column = None
-            if use_parallel:
-                column = _compute_aggregate_parallel(
-                    spec, frame, ctx, group_ids, num_groups
+            out_columns.append(
+                _compute_aggregate(
+                    spec, frame, ctx, evaluator, group_ids, num_groups
                 )
-            if column is None:
-                column = _compute_aggregate(
-                    spec, frame, evaluator, group_ids, num_groups
-                )
-            out_columns.append(column)
+            )
         result = Frame(out_columns)
         token.record_rows(result.num_rows)
     return result
 
 
-#: Aggregates with a per-morsel partial state and an order-preserving
-#: merge.  ``distinct``/``groupArray``/``any``/``sumIf`` need global row
-#: order or global value sets and stay on the serial path.
-_PARALLEL_AGGREGATES = frozenset(
+#: Aggregates reduced through per-group partial states that merge
+#: across row ranges.  ``COUNT(DISTINCT)``, ``groupArray`` and ``any``
+#: need a group's whole value set or its first row and stay holistic.
+_DECOMPOSABLE_AGGREGATES = frozenset(
     {
-        "count", "countif", "sum", "avg", "min", "max",
+        "count", "countif", "sum", "sumif", "avg", "min", "max",
         "stddevsamp", "stddevpop", "varsamp", "varpop",
     }
 )
 
 
-def _compute_aggregate_parallel(
+def _compute_aggregate(
     spec: AggregateSpec,
+    frame: Frame,
+    ctx: ExecutionContext,
+    evaluator: Evaluator,
+    group_ids: np.ndarray,
+    num_groups: int,
+) -> FrameColumn:
+    """One aggregate's output column.
+
+    A decomposable aggregate is one :func:`_aggregate_partial` per row
+    range plus :func:`_finalize_aggregate`.  When the morsel pool would
+    not split the frame (one worker, at most one morsel of rows, or a
+    UDF or subquery argument), a single partial covers every row with
+    the statement's evaluator.  Otherwise each morsel reduces its own
+    slice and the partials merge in morsel order.  Integer and count
+    results are exact at any worker count; float results differ from
+    the single-partial ones by rounding only, because morsel sums are
+    added in a different grouping.
+    """
+    call = spec.call
+    name = call.name.lower()
+    if not call.args:
+        raise PlanError(f"aggregate {call.name}() requires an argument")
+    if name in ("grouparray", "any") or (
+        name == "count" and call.distinct and not isinstance(call.args[0], Star)
+    ):
+        return _compute_holistic(
+            spec, frame.num_rows, evaluator, group_ids, num_groups
+        )
+    if name not in _DECOMPOSABLE_AGGREGATES:
+        raise PlanError(f"unsupported aggregate {call.name!r}")
+
+    pool = ctx.parallel
+    if (
+        pool is None
+        or not pool.should_parallelize(frame.num_rows)
+        or not all(_parallel_safe_expr(arg, ctx) for arg in call.args)
+    ):
+        state = _aggregate_partial(call, name, evaluator, group_ids, num_groups)
+    else:
+        state = _aggregate_morsels(call, name, frame, ctx, group_ids, num_groups)
+    return _finalize_aggregate(spec.slot, name, state)
+
+
+def _aggregate_morsels(
+    call: FunctionCall,
+    name: str,
     frame: Frame,
     ctx: ExecutionContext,
     group_ids: np.ndarray,
     num_groups: int,
-) -> Optional[FrameColumn]:
-    """Morsel-parallel aggregation with per-worker partial states.
-
-    Each morsel evaluates the aggregate's argument over its frame slice
-    and reduces it to a tiny per-group partial (counts, sums, sums of
-    squares, or running min/max); partials merge in morsel order, so
-    float accumulation follows the exact same addition sequence as the
-    serial ``np.bincount`` path and results are bit-identical across
-    worker counts.  Returns None for shapes the serial path must handle.
-    """
+) -> tuple[Optional[DataType], dict[str, np.ndarray]]:
+    """One :func:`_aggregate_partial` per morsel on the pool, merged in
+    morsel order, so float sums add in one fixed sequence."""
     pool = ctx.parallel
     assert pool is not None
-    call = spec.call
-    name = call.name.lower()
-    if call.distinct:
-        return None
-    is_count_star = (
-        name == "count"
-        and len(call.args) == 1
-        and isinstance(call.args[0], Star)
-    )
-    if not is_count_star:
-        if name not in _PARALLEL_AGGREGATES or not call.args:
-            return None
-        if not _parallel_safe_expr(call.args[0], ctx):
-            return None
+    n = frame.num_rows
     if ctx.memory is not None:
-        num_morsels = (frame.num_rows + pool.morsel_rows - 1) // pool.morsel_rows
-        # Up to ~4 float64 arrays of num_groups entries per morsel.
+        num_morsels = (n + pool.morsel_rows - 1) // pool.morsel_rows
+        # Up to ~4 arrays of num_groups 8-byte entries per morsel.
         ctx.memory.admit(
             num_morsels * num_groups * 32, "parallel aggregation partials"
         )
-
-    needs_minmax = name in ("min", "max")
-    needs_squares = name in ("stddevsamp", "stddevpop", "varsamp", "varpop")
-    #: The argument's dtype, identical in every morsel (set once under
-    #: the GIL by whichever morsel runs first).
-    dtype_seen: dict[str, DataType] = {}
-
-    def partial(start: int, stop: int) -> dict[str, np.ndarray]:
-        gids = group_ids[start:stop]
-        if is_count_star:
-            return {"counts": np.bincount(gids, minlength=num_groups)}
-        piece = frame.slice(start, stop)
-        vector = ctx.evaluator(piece).evaluate(call.args[0])
-        data = vector.materialize(piece.num_rows)
-        null = vector.null_mask(piece.num_rows)
-        dtype_seen.setdefault("dtype", vector.dtype)
-        if name in ("count", "countif"):
-            if vector.dtype is DataType.BOOL or name == "countif":
-                mask = data.astype(bool)
-                if null is not None:
-                    mask = mask & ~null
-                return {
-                    "counts": np.bincount(gids[mask], minlength=num_groups)
-                }
-            rows = gids[~null] if null is not None else gids
-            return {"counts": np.bincount(rows, minlength=num_groups)}
-        if null is not None:
-            gsel = gids[~null]
-            dsel = data[~null]
-        else:
-            gsel, dsel = gids, data
-        state = {"present": np.bincount(gsel, minlength=num_groups)}
-        if name == "sum" and vector.dtype in (DataType.INT64, DataType.BOOL):
-            sums = np.zeros(num_groups, dtype=np.int64)
-            np.add.at(sums, gsel, dsel.astype(np.int64))
-            state["int_sums"] = sums
-            return state
-        numeric = dsel.astype(np.float64)
-        if needs_minmax:
-            state["minmax"] = _reduce_minmax(
-                numeric, gsel, num_groups, name == "min"
-            )
-            return state
-        state["sums"] = np.bincount(
-            gsel, weights=numeric, minlength=num_groups
-        ).astype(np.float64, copy=False)
-        if needs_squares:
-            state["squares"] = np.bincount(
-                gsel, weights=numeric * numeric, minlength=num_groups
-            ).astype(np.float64, copy=False)
-        return state
-
     partials = pool.run_rows(
-        frame.num_rows,
-        partial,
+        n,
+        lambda start, stop: _aggregate_partial(
+            call,
+            name,
+            ctx.evaluator(frame.slice(start, stop)),
+            group_ids[start:stop],
+            num_groups,
+        ),
         query=ctx.query,
         faults=ctx.faults,
         op="Aggregate",
     )
-    merged: dict[str, np.ndarray] = {}
-    for key in partials[0]:
-        values = [state[key] for state in partials]
-        if key == "minmax":
-            reducer = np.minimum if name == "min" else np.maximum
-            merged[key] = merge_elementwise(values, reducer)
-        else:
-            merged[key] = merge_additive(values)
+    reducers = {"minmax": np.minimum if name == "min" else np.maximum}
+    dtype, first = partials[0]
+    return dtype, {
+        key: functools.reduce(
+            reducers.get(key, np.add), [arrays[key] for _, arrays in partials]
+        )
+        for key in first
+    }
 
-    if is_count_star or name in ("count", "countif"):
+
+def _aggregate_partial(
+    call: FunctionCall,
+    name: str,
+    evaluator: Evaluator,
+    gids: np.ndarray,
+    num_groups: int,
+) -> tuple[Optional[DataType], dict[str, np.ndarray]]:
+    """Reduce the rows ``evaluator`` sees, whose group ids are ``gids``,
+    to one decomposable aggregate's partial state: the argument's dtype
+    and per-group arrays (``counts``, or ``present`` plus ``int_sums`` /
+    ``sums`` / ``squares`` / ``minmax``)."""
+    if name == "count" and isinstance(call.args[0], Star):
+        # COUNT(*) counts rows regardless of NULLs.
+        return None, {"counts": np.bincount(gids, minlength=num_groups)}
+    n = len(gids)
+    vector = evaluator.evaluate(call.args[0])
+    data = vector.materialize(n)
+    null = vector.null_mask(n)
+    if name in ("count", "countif"):
+        rows: Optional[np.ndarray] = None if null is None else ~null
+        if vector.dtype is DataType.BOOL or name == "countif":
+            # countIf semantics: count rows where the condition holds.  The
+            # paper's Type-2 query counts nUDF_detect(...)=TRUE this way.
+            # An UNKNOWN (NULL) condition does not hold.
+            mask = data.astype(bool, copy=False)
+            rows = mask if rows is None else mask & rows
+        counted = gids if rows is None else gids[rows]
+        return None, {"counts": np.bincount(counted, minlength=num_groups)}
+
+    # Every other aggregate skips NULL rows; sumIf also skips the rows
+    # whose condition does not hold.
+    present = None if null is None else ~null
+    if name == "sumif":
+        condition = evaluator.evaluate_mask(call.args[1])
+        present = condition if present is None else condition & present
+    if present is not None:
+        gids, data = gids[present], data[present]
+    state = {"present": np.bincount(gids, minlength=num_groups)}
+    if name in ("sum", "sumif") and vector.dtype in (
+        DataType.INT64,
+        DataType.BOOL,
+    ):
+        # Integer accumulation path: routing int64 sums through float64
+        # bincount weights silently loses precision above 2**53.
+        sums = np.zeros(num_groups, dtype=np.int64)
+        np.add.at(sums, gids, data.astype(np.int64, copy=False))
+        state["int_sums"] = sums
+        return vector.dtype, state
+    # Read-only below: no copy when the argument already is float64.
+    numeric = data.astype(np.float64, copy=False)
+    if name in ("min", "max"):
+        state["minmax"] = _reduce_minmax(numeric, gids, num_groups, name == "min")
+        return vector.dtype, state
+    # np.bincount returns int64 for empty weighted input; force float.
+    state["sums"] = np.bincount(
+        gids, weights=numeric, minlength=num_groups
+    ).astype(np.float64, copy=False)
+    if name in ("stddevsamp", "stddevpop", "varsamp", "varpop"):
+        state["squares"] = np.bincount(
+            gids, weights=numeric * numeric, minlength=num_groups
+        ).astype(np.float64, copy=False)
+    return vector.dtype, state
+
+
+def _finalize_aggregate(
+    slot: str,
+    name: str,
+    state: tuple[Optional[DataType], dict[str, np.ndarray]],
+) -> FrameColumn:
+    """The output column of one decomposable aggregate's (merged) state.
+
+    The state's arrays are owned by this call and are updated in place.
+    """
+    dtype, arrays = state
+    if "counts" in arrays:
         return FrameColumn(
-            None, spec.slot, DataType.INT64, merged["counts"].astype(np.int64)
+            None, slot, DataType.INT64, arrays["counts"].astype(np.int64)
         )
-    dtype = dtype_seen["dtype"]
-    present_counts = merged["present"]
-    valid = _group_validity(present_counts)
-    if "int_sums" in merged:
-        return FrameColumn(
-            None, spec.slot, DataType.INT64, merged["int_sums"], valid
-        )
-    counts = present_counts.astype(np.float64)
+    if name == "sumif":
+        # ClickHouse semantics: a group without qualifying rows sums to
+        # 0, never NULL.
+        if "int_sums" in arrays:
+            return FrameColumn(None, slot, DataType.INT64, arrays["int_sums"])
+        return FrameColumn(None, slot, DataType.FLOAT64, arrays["sums"])
+    # A group with no non-NULL input produces SQL NULL (not 0 / inf),
+    # matching the standard's "empty group" rule for SUM/AVG/MIN/MAX/
+    # variance.
+    valid = _group_validity(arrays["present"])
+    if "int_sums" in arrays:
+        return FrameColumn(None, slot, DataType.INT64, arrays["int_sums"], valid)
+    counts = arrays["present"].astype(np.float64)
     safe_counts = np.maximum(counts, 1.0)
     empty = counts == 0.0
-    if needs_minmax:
-        reduced = merged["minmax"].copy()
+    if name in ("min", "max"):
+        assert dtype is not None
         target = dtype if dtype.is_numeric else DataType.FLOAT64
+        reduced = arrays["minmax"]
         reduced[empty] = 0.0  # sentinel; masked by ``valid``
         out = reduced.astype(target.numpy_dtype)
         if target is DataType.FLOAT64:
             out[empty] = np.nan
-        return FrameColumn(None, spec.slot, target, out, valid)
-    sums = merged["sums"]
+        return FrameColumn(None, slot, target, out, valid)
+    sums = arrays["sums"]
     if name == "sum":
-        sums = sums.copy()
         sums[empty] = np.nan
-        return FrameColumn(None, spec.slot, DataType.FLOAT64, sums, valid)
-    if name == "avg":
-        means = sums / safe_counts
-        means[empty] = np.nan
-        return FrameColumn(None, spec.slot, DataType.FLOAT64, means, valid)
+        return FrameColumn(None, slot, DataType.FLOAT64, sums, valid)
     means = sums / safe_counts
-    variances = np.maximum(
-        merged["squares"] / safe_counts - means * means, 0.0
-    )
+    if name == "avg":
+        means[empty] = np.nan
+        return FrameColumn(None, slot, DataType.FLOAT64, means, valid)
+    variances = np.maximum(arrays["squares"] / safe_counts - means * means, 0.0)
     if name in ("varsamp", "stddevsamp"):
         variances = variances * (counts / np.maximum(counts - 1.0, 1.0))
     if name.startswith("stddev"):
         variances = np.sqrt(variances)
     variances[empty] = np.nan
-    return FrameColumn(None, spec.slot, DataType.FLOAT64, variances, valid)
+    return FrameColumn(None, slot, DataType.FLOAT64, variances, valid)
+
+
+def _compute_holistic(
+    spec: AggregateSpec,
+    n: int,
+    evaluator: Evaluator,
+    group_ids: np.ndarray,
+    num_groups: int,
+) -> FrameColumn:
+    """``COUNT(DISTINCT)``, ``groupArray`` and ``any`` over the whole
+    frame.  All three skip NULL arguments."""
+    call = spec.call
+    name = call.name.lower()
+    vector = evaluator.evaluate(call.args[0])
+    data = vector.materialize(n)
+    null = vector.null_mask(n)
+    gids = group_ids
+    if null is not None:
+        gids, data = gids[~null], data[~null]
+
+    if name == "count":
+        # COUNT(DISTINCT col) counts distinct non-NULL values.
+        counts = _distinct_counts(data, gids, num_groups)
+        return FrameColumn(None, spec.slot, DataType.INT64, counts)
+
+    if name == "grouparray":
+        # One stable sort by group keeps each group's values in row order.
+        ordered = data[np.argsort(gids, kind="stable")]
+        sizes = np.bincount(gids, minlength=num_groups)
+        stops = np.cumsum(sizes)
+        out = np.empty(num_groups, dtype=object)
+        for group in range(num_groups):
+            out[group] = ordered[stops[group] - sizes[group] : stops[group]].tolist()
+        return FrameColumn(None, spec.slot, DataType.BLOB, out)
+
+    # any: the first non-NULL value per group; NULL when the group has none.
+    groups, first = np.unique(gids, return_index=True)
+    if len(groups) == num_groups and n:
+        return FrameColumn(None, spec.slot, vector.dtype, data[first])
+    if data.dtype == object:
+        out = np.empty(num_groups, dtype=object)
+        out[:] = None
+    else:
+        out = np.zeros(num_groups, dtype=data.dtype)
+        if data.dtype.kind == "f":
+            out[:] = np.nan
+    out[groups] = data[first]
+    seen = np.zeros(num_groups, dtype=bool)
+    seen[groups] = True
+    return FrameColumn(None, spec.slot, vector.dtype, out, seen)
 
 
 def _group_key_name(
@@ -1271,181 +1369,6 @@ def _group_validity(present_counts: np.ndarray) -> Optional[np.ndarray]:
     """Validity mask for per-group outputs: empty/all-NULL groups are NULL."""
     valid = present_counts > 0
     return None if valid.all() else valid
-
-
-def _compute_aggregate(
-    spec: AggregateSpec,
-    frame: Frame,
-    evaluator: Evaluator,
-    group_ids: np.ndarray,
-    num_groups: int,
-) -> FrameColumn:
-    call = spec.call
-    name = call.name.lower()
-    n = frame.num_rows
-
-    if name == "count" and len(call.args) == 1 and isinstance(call.args[0], Star):
-        # COUNT(*) counts rows regardless of NULLs.
-        counts = np.bincount(group_ids, minlength=num_groups).astype(np.int64)
-        return FrameColumn(None, spec.slot, DataType.INT64, counts)
-
-    if name in ("countif", "count") and call.args:
-        vector = evaluator.evaluate(call.args[0])
-        data = vector.materialize(n)
-        null = vector.null_mask(n)
-        if call.distinct:
-            # COUNT(DISTINCT col) counts distinct non-NULL values.
-            if null is not None:
-                present = ~null
-                counts = _distinct_counts(
-                    data[present], group_ids[present], num_groups
-                )
-            else:
-                counts = _distinct_counts(data, group_ids, num_groups)
-        elif vector.dtype is DataType.BOOL or name == "countif":
-            # countIf semantics: count rows where the condition holds.  The
-            # paper's Type-2 query counts nUDF_detect(...)=TRUE this way.
-            # An UNKNOWN (NULL) condition does not hold.
-            mask = data.astype(bool)
-            if null is not None:
-                mask = mask & ~null
-            counts = np.bincount(
-                group_ids[mask], minlength=num_groups
-            ).astype(np.int64)
-        else:
-            # COUNT(col) counts non-NULL values.
-            if null is not None:
-                counts = np.bincount(
-                    group_ids[~null], minlength=num_groups
-                ).astype(np.int64)
-            else:
-                counts = np.bincount(
-                    group_ids, minlength=num_groups
-                ).astype(np.int64)
-        return FrameColumn(None, spec.slot, DataType.INT64, counts)
-
-    if not call.args:
-        raise PlanError(f"aggregate {call.name}() requires an argument")
-
-    vector = evaluator.evaluate(call.args[0])
-    data = vector.materialize(n)
-    null = vector.null_mask(n)
-
-    if name == "sumif":
-        condition = evaluator.evaluate_mask(call.args[1])
-        if null is not None:
-            condition = condition & ~null
-        sums = np.bincount(
-            group_ids[condition],
-            weights=data[condition].astype(np.float64),
-            minlength=num_groups,
-        )
-        return FrameColumn(None, spec.slot, DataType.FLOAT64, sums)
-
-    if name == "grouparray":
-        present = ~null if null is not None else None
-        out = np.empty(num_groups, dtype=object)
-        for group in range(num_groups):
-            rows = group_ids == group
-            if present is not None:
-                rows = rows & present
-            out[group] = data[rows].tolist()
-        return FrameColumn(None, spec.slot, DataType.BLOB, out)
-
-    if name == "any":
-        # First non-NULL value per group; NULL when the group has none.
-        representatives = np.zeros(num_groups, dtype=np.int64)
-        seen = np.zeros(num_groups, dtype=bool)
-        for row in range(n):
-            if null is not None and null[row]:
-                continue
-            group = group_ids[row]
-            if not seen[group]:
-                seen[group] = True
-                representatives[group] = row
-        if seen.all() and n:
-            return FrameColumn(
-                None, spec.slot, vector.dtype, data[representatives]
-            )
-        out = np.zeros(num_groups, dtype=data.dtype)
-        if data.dtype == object:
-            out = np.empty(num_groups, dtype=object)
-            out[:] = None
-        elif data.dtype.kind == "f":
-            out[:] = np.nan
-        out[seen] = data[representatives[seen]]
-        return FrameColumn(None, spec.slot, vector.dtype, out, seen.copy())
-
-    present_counts = (
-        np.bincount(group_ids[~null], minlength=num_groups)
-        if null is not None
-        else np.bincount(group_ids, minlength=num_groups)
-    )
-
-    if name == "sum" and vector.dtype in (DataType.INT64, DataType.BOOL):
-        # Integer accumulation path: routing int64 sums through float64
-        # bincount weights silently loses precision above 2**53.
-        sums = np.zeros(num_groups, dtype=np.int64)
-        if null is not None:
-            np.add.at(sums, group_ids[~null], data[~null].astype(np.int64))
-        else:
-            np.add.at(sums, group_ids, data.astype(np.int64))
-        return FrameColumn(
-            None, spec.slot, DataType.INT64, sums,
-            _group_validity(present_counts),
-        )
-
-    # The float kernels below skip NULL rows entirely; a group with no
-    # non-NULL input produces SQL NULL (not 0 / inf), matching the
-    # standard's "empty group" rule for SUM/AVG/MIN/MAX/variance.
-    if null is not None:
-        gids = group_ids[~null]
-        numeric = data[~null].astype(np.float64)
-    else:
-        gids = group_ids
-        numeric = data.astype(np.float64)
-    counts = present_counts.astype(np.float64)
-    safe_counts = np.maximum(counts, 1.0)
-    empty = counts == 0.0
-    valid = _group_validity(present_counts)
-
-    if name == "sum":
-        # np.bincount returns int64 for empty weighted input; force float.
-        sums = np.bincount(
-            gids, weights=numeric, minlength=num_groups
-        ).astype(np.float64, copy=False)
-        sums[empty] = np.nan
-        return FrameColumn(None, spec.slot, DataType.FLOAT64, sums, valid)
-    if name == "avg":
-        sums = np.bincount(gids, weights=numeric, minlength=num_groups)
-        means = sums / safe_counts
-        means[empty] = np.nan
-        return FrameColumn(None, spec.slot, DataType.FLOAT64, means, valid)
-    if name in ("min", "max"):
-        reduced = _reduce_minmax(numeric, gids, num_groups, name == "min")
-        target = vector.dtype if vector.dtype.is_numeric else DataType.FLOAT64
-        reduced[empty] = 0.0  # sentinel; masked by ``valid``
-        out = reduced.astype(target.numpy_dtype)
-        if target is DataType.FLOAT64:
-            out[empty] = np.nan
-        return FrameColumn(None, spec.slot, target, out, valid)
-    if name in ("stddevsamp", "stddevpop", "varsamp", "varpop"):
-        sums = np.bincount(gids, weights=numeric, minlength=num_groups)
-        squares = np.bincount(
-            gids, weights=numeric * numeric, minlength=num_groups
-        )
-        means = sums / safe_counts
-        variances = np.maximum(squares / safe_counts - means * means, 0.0)
-        if name in ("varsamp", "stddevsamp"):
-            correction = counts / np.maximum(counts - 1.0, 1.0)
-            variances = variances * correction
-        if name.startswith("stddev"):
-            variances = np.sqrt(variances)
-        variances = variances.astype(np.float64, copy=False)
-        variances[empty] = np.nan
-        return FrameColumn(None, spec.slot, DataType.FLOAT64, variances, valid)
-
-    raise PlanError(f"unsupported aggregate {call.name!r}")
 
 
 def _reduce_minmax(

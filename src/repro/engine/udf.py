@@ -17,7 +17,6 @@ from __future__ import annotations
 import inspect
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -48,11 +47,15 @@ from repro.sql.ast_nodes import (
 from repro.storage.schema import DataType
 
 if TYPE_CHECKING:  # imported for annotations only
-    from concurrent.futures import Executor
-
+    from repro.engine.parallel import MorselPool
     from repro.engine.qcontext import QueryContext
     from repro.faults.breaker import CircuitBreaker
     from repro.faults.injector import FaultInjector
+
+#: Rows per UDF morsel.  Smaller than the engine's morsels: one row of
+#: model inference costs orders of magnitude more than one row of a
+#: relational kernel, so a batch splits across workers much sooner.
+UDF_MORSEL_ROWS = 256
 
 
 @dataclass
@@ -224,8 +227,7 @@ class UdfRegistry:
         self._profiler = None
         self._metrics = None
         self._cache: Optional[InferenceCache] = None
-        self._executor: Optional["Executor"] = None
-        self._morsel_rows = 256
+        self._pool: Optional["MorselPool"] = None
         self._faults: Optional["FaultInjector"] = None
         #: Called per batch/morsel to fetch the active QueryContext so
         #: worker threads observe deadlines and cancellation.
@@ -245,7 +247,7 @@ class UdfRegistry:
         policy, and inference cache are shared — every session sees one
         set of models and one breaker per model, and a model swap in one
         session invalidates everyone's cached results.  Observers,
-        executor, fault injector, and query-context provider stay
+        morsel pool, fault injector, and query-context provider stay
         **per view**, so each session's :class:`Database` attaches its
         own without clobbering the other sessions' (the query provider
         in particular must resolve to *that* session's active query).
@@ -277,15 +279,10 @@ class UdfRegistry:
         """Serve repeated inputs of cacheable UDFs from ``cache``."""
         self._cache = cache
 
-    def attach_executor(
-        self, executor: Optional["Executor"], morsel_rows: int = 256
-    ) -> None:
-        """Dispatch large batches of parallel-safe UDFs as morsels of
-        ``morsel_rows`` rows each onto ``executor``."""
-        if morsel_rows < 1:
-            raise ValueError("morsel_rows must be positive")
-        self._executor = executor
-        self._morsel_rows = morsel_rows
+    def attach_pool(self, pool: Optional["MorselPool"]) -> None:
+        """Dispatch batches of parallel-safe UDFs larger than
+        :data:`UDF_MORSEL_ROWS` as morsels on ``pool``."""
+        self._pool = pool
 
     def attach_faults(self, faults: Optional["FaultInjector"]) -> None:
         """Honor the ``udf.batch_call`` injection site on every dispatch."""
@@ -295,7 +292,7 @@ class UdfRegistry:
         self, provider: Optional[Callable[[], Optional["QueryContext"]]]
     ) -> None:
         """Check the active query's deadline/cancellation before every
-        batch and every morsel, including on executor worker threads."""
+        batch and every morsel, including on pool worker threads."""
         self._query_provider = provider
 
     def configure_breakers(
@@ -410,7 +407,7 @@ class UdfRegistry:
         With an inference cache attached, the (present-row) batch is
         served with partial-hit semantics: every input row is
         content-hashed, the model runs only over missed rows (as
-        parallel morsels when an executor is attached), and cached plus
+        parallel morsels when a live pool is attached), and cached plus
         fresh results are scattered back into one output vector.
         """
         udf = self.get(name)
@@ -648,53 +645,41 @@ class UdfRegistry:
     def _dispatch_fn(
         self, udf: BatchUdf, args: list[np.ndarray], num_rows: int
     ) -> np.ndarray:
-        """Run ``udf.fn``, split into morsels when it pays off."""
-        executor = self._executor
+        """Run ``udf.fn``, split into morsels on the pool when it pays off.
+
+        :meth:`MorselPool.run` fails fast: the first morsel error cancels
+        every morsel still queued, so a poisoned batch stops burning
+        worker slots.
+        """
+        pool = self._pool
+        morsel = UDF_MORSEL_ROWS
         if (
-            executor is None
+            pool is None
+            or not pool.enabled
             or not udf.parallel_safe
-            or num_rows <= self._morsel_rows
+            or num_rows <= morsel
         ):
             self._before_batch(udf, num_rows)
             return udf.fn(*args)
-        morsel = self._morsel_rows
 
-        def run_morsel(start: int) -> np.ndarray:
-            self._before_batch(udf, min(morsel, num_rows - start))
-            return udf.fn(*[a[start : start + morsel] for a in args])
+        def make_thunk(start: int) -> Callable[[], np.ndarray]:
+            stop = min(start + morsel, num_rows)
 
-        futures = [
-            executor.submit(run_morsel, start)
-            for start in range(0, num_rows, morsel)
-        ]
-        done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        failed = next(
-            (
-                future
-                for future in done
-                if not future.cancelled() and future.exception() is not None
-            ),
-            None,
+            def run_morsel() -> np.ndarray:
+                self._before_batch(udf, stop - start)
+                piece = np.asarray(udf.fn(*[a[start:stop] for a in args]))
+                if piece.shape != (stop - start,):
+                    raise UdfError(
+                        f"UDF {udf.name!r} returned shape {piece.shape} for "
+                        f"a morsel of {stop - start} rows"
+                    )
+                return piece
+
+            return run_morsel
+
+        return np.concatenate(
+            pool.run([make_thunk(start) for start in range(0, num_rows, morsel)])
         )
-        if failed is not None:
-            # Fail fast: the first worker error cancels every morsel still
-            # queued so a poisoned batch stops burning executor slots.
-            cancelled = sum(1 for future in pending if future.cancel())
-            if self._metrics is not None and cancelled:
-                self._metrics.counter(
-                    "udf_morsels_cancelled_total",
-                    "Queued UDF morsels cancelled after a sibling failed",
-                ).inc(cancelled)
-            failed.result()  # re-raises with the worker's original traceback
-        pieces = [np.asarray(future.result()) for future in futures]
-        for start, piece in zip(range(0, num_rows, morsel), pieces):
-            expected = min(morsel, num_rows - start)
-            if piece.shape != (expected,):
-                raise UdfError(
-                    f"UDF {udf.name!r} returned shape {piece.shape} for a "
-                    f"morsel of {expected} rows"
-                )
-        return np.concatenate(pieces)
 
     def neural_seconds(self) -> float:
         """Total wall-clock spent inside neural UDFs since the last reset."""

@@ -222,8 +222,7 @@ def _make_db(dataset, plan: Optional[FaultPlan]):
     db = Database(
         fault_plan=plan,
         udf_cache_bytes=1 << 20,
-        udf_workers=2,
-        udf_morsel_rows=64,
+        workers=2,
         query_memory_bytes=256 << 20,
     )
     dataset.install(db)

@@ -260,6 +260,21 @@ class TestTypeInference:
             DataType.FLOAT64,
         ]
 
+    def test_sum_if_types_match_runtime(self, db):
+        # sumIf is sum over the qualifying rows: integer arguments stay
+        # Int64 (exact above 2**53), everything else is Float64.
+        sql = "SELECT sumIf(a, a > 1), sumIf(b, a > 1) FROM t"
+        schema = self._schema(db, sql)
+        assert [c.dtype for c in schema.columns] == [
+            DataType.INT64,
+            DataType.FLOAT64,
+        ]
+        frame = db.execute(sql).frame
+        assert [c.dtype for c in frame.columns] == [
+            DataType.INT64,
+            DataType.FLOAT64,
+        ]
+
     def test_udf_return_type(self, db):
         schema = self._schema(db, "SELECT nudf_one(a) FROM t")
         assert schema.columns[0].dtype is DataType.FLOAT64
@@ -343,6 +358,13 @@ class TestNullabilityInference:
     def test_count_never_nullable_sum_nullable(self, ndb):
         schema = self._schema(ndb, "SELECT count(*), count(x), sum(x) FROM nt")
         assert [c.nullable for c in schema.columns] == [False, False, True]
+
+    def test_sum_if_never_nullable(self, ndb):
+        # No qualifying row sums to 0, never NULL, as at run time.
+        sql = "SELECT sumIf(x, x > 100) FROM nt"
+        schema = self._schema(ndb, sql)
+        assert schema.columns[0].nullable is False
+        assert ndb.query(sql) == [(0,)]
 
     def test_min_over_null_free_column_still_nullable(self, ndb):
         # The group can be empty (zero qualifying rows), which yields NULL

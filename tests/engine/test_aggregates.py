@@ -187,6 +187,109 @@ class TestInt64SumPrecision:
         assert db.execute("SELECT sum(v) FROM t").scalar() == 15.0
 
 
+class TestSumIfPrecision:
+    """sumIf is sum over the rows whose condition holds: integer
+    arguments accumulate as int64 like ``sum``."""
+
+    def test_int_sum_if_exact_above_2_to_53(self):
+        db = Database()
+        db.create_table_from_dict("n", {"n": [2**53 + 1, 2]})
+        result = db.execute("SELECT sumIf(n, n > 0) FROM n").scalar()
+        assert result == 2**53 + 3  # 2**53 + 4 under float64 rounding
+        assert isinstance(result, (int, np.integer))
+        assert db.execute("SELECT sum(n) FROM n").scalar() == result
+
+    def test_group_without_qualifying_rows_is_zero(self):
+        db = Database()
+        db.create_table_from_dict(
+            "t",
+            {
+                "g": ["a", "a", "b", "c"],
+                "n": [1, 2, 3, None],
+                "f": [0.5, 1.5, 2.5, 3.5],
+            },
+        )
+        rows = db.query(
+            "SELECT g, sumIf(n, n > 1), sumIf(f, n > 1) FROM t GROUP BY g"
+        )
+        # "c" qualifies on its condition only through a NULL: 0, not NULL.
+        assert rows == [("a", 2, 1.5), ("b", 3, 2.5), ("c", 0, 0.0)]
+
+    def test_bool_sum_if_counts(self):
+        db = Database()
+        db.create_table_from_dict(
+            "f", {"b": [True, False, True, True], "k": [1, 2, 3, 4]}
+        )
+        assert db.execute("SELECT sumIf(b, k > 1) FROM f").scalar() == 2
+
+
+class TestVectorizedHolistic:
+    """``any`` and ``groupArray`` against plain-Python references over
+    more than 100 groups, NULL values and a NULL group key."""
+
+    @pytest.fixture()
+    def many_groups(self):
+        rng = np.random.default_rng(26)
+        rows = 2000
+        keys = rng.integers(0, 150, rows).tolist()
+        values = rng.integers(-50, 50, rows).tolist()
+        floats = rng.normal(size=rows).round(3).tolist()
+        for index in rng.choice(rows, 300, replace=False):
+            values[index] = None
+        for index in rng.choice(rows, 300, replace=False):
+            floats[index] = None
+        for index in rng.choice(rows, 40, replace=False):
+            keys[index] = None
+        # Group 149's values are all NULL: any() is NULL, groupArray [].
+        for row, key in enumerate(keys):
+            if key == 149:
+                values[row] = None
+                floats[row] = None
+        db = Database()
+        db.create_table_from_dict(
+            "h", {"k": keys, "v": values, "f": floats}
+        )
+        return db, keys, {"v": values, "f": floats}
+
+    @staticmethod
+    def _reference(keys, values):
+        groups: dict = {}
+        for key, value in zip(keys, values):
+            members = groups.setdefault(key, [])
+            if value is not None:
+                members.append(value)
+        return groups
+
+    @pytest.mark.parametrize("column", ["v", "f"])
+    def test_any_is_first_non_null(self, many_groups, column):
+        db, keys, data = many_groups
+        expected = self._reference(keys, data[column])
+        assert len(expected) > 100
+        rows = db.query(f"SELECT k, any({column}) FROM h GROUP BY k")
+        assert [key for key, _ in rows] == list(expected)
+        assert {key: value for key, value in rows} == {
+            key: members[0] if members else None
+            for key, members in expected.items()
+        }
+
+    @pytest.mark.parametrize("column", ["v", "f"])
+    def test_group_array_keeps_row_order(self, many_groups, column):
+        db, keys, data = many_groups
+        expected = self._reference(keys, data[column])
+        rows = db.query(f"SELECT k, groupArray({column}) FROM h GROUP BY k")
+        assert dict(rows) == expected
+
+    def test_empty_input(self):
+        db = Database()
+        db.create_table_from_dict("e", {"k": [1], "v": [2]})
+        assert db.query(
+            "SELECT k, any(v), groupArray(v) FROM e WHERE v > 5 GROUP BY k"
+        ) == []
+        assert db.query(
+            "SELECT any(v), groupArray(v) FROM e WHERE v > 5"
+        ) == [(None, [])]
+
+
 class TestVectorizedDistinct:
     """``_distinct_counts`` now runs on the ``_factorize`` machinery;
     results must be identical to the old per-row set loop."""

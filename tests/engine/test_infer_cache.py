@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchUdf, Database, InferenceCache, UdfRegistry
+from repro.engine import udf as udf_module
 from repro.engine.infer_cache import (
     ENTRY_OVERHEAD_BYTES,
     MISSING,
@@ -13,6 +14,7 @@ from repro.engine.infer_cache import (
     hash_row,
     make_cache,
 )
+from repro.engine.parallel import MorselPool
 from repro.storage.schema import DataType
 
 
@@ -233,36 +235,40 @@ class TestCachedInvoke:
 
 
 class TestMorselDispatch:
-    def test_morsels_match_inline_results(self):
-        from concurrent.futures import ThreadPoolExecutor
+    """UDF batches split into morsels on the engine's one pool."""
 
+    def test_morsels_match_inline_results(self, monkeypatch):
+        monkeypatch.setattr(udf_module, "UDF_MORSEL_ROWS", 64)
         values = np.linspace(0.0, 1.0, 1000)
         inline = UdfRegistry()
         inline.register(_counting_udf([]))
         expected = inline.invoke("score", [values]).materialize(1000)
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        pool = MorselPool(4)
+        try:
             parallel = UdfRegistry()
-            parallel.attach_executor(pool, morsel_rows=64)
+            parallel.attach_pool(pool)
             counter: list[int] = []
             parallel.register(_counting_udf(counter))
             got = parallel.invoke("score", [values]).materialize(1000)
+        finally:
+            pool.shutdown()
         assert got.tolist() == expected.tolist()
         assert len(counter) == 16 and sum(counter) == 1000
         assert parallel.get("score").stats.rows == 1000
 
-    def test_parallel_unsafe_udf_runs_inline(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_parallel_unsafe_udf_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(udf_module, "UDF_MORSEL_ROWS", 8)
         seen_threads: list[int] = []
 
         def fn(values):
             seen_threads.append(threading.get_ident())
             return np.asarray(values, dtype=np.float64)
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        pool = MorselPool(4)
+        try:
             registry = UdfRegistry()
-            registry.attach_executor(pool, morsel_rows=8)
+            registry.attach_pool(pool)
             registry.register(
                 BatchUdf(
                     name="stateful",
@@ -272,12 +278,13 @@ class TestMorselDispatch:
                 )
             )
             registry.invoke("stateful", [np.zeros(100)])
+        finally:
+            pool.shutdown()
         assert seen_threads == [threading.get_ident()]
 
     def test_bad_morsel_rows_rejected(self):
-        registry = UdfRegistry()
         with pytest.raises(ValueError):
-            registry.attach_executor(object(), morsel_rows=0)
+            MorselPool(2, morsel_rows=0)
 
 
 class TestDatabaseIntegration:
@@ -312,9 +319,10 @@ class TestDatabaseIntegration:
         assert "UDF cache: hits=6 misses=0" in output.text
         assert output.to_dict()["udf_cache"]["hits"] == 6
 
-    def test_workers_with_cache_same_rows(self):
+    def test_workers_with_cache_same_rows(self, monkeypatch):
         counter: list[int] = []
-        db = self._db(udf_workers=2, udf_morsel_rows=2)
+        monkeypatch.setattr(udf_module, "UDF_MORSEL_ROWS", 2)
+        db = self._db(workers=2)
         try:
             db.register_udf(_counting_udf(counter))
             rows = db.query("SELECT score(v) FROM t ORDER BY v")
@@ -325,7 +333,7 @@ class TestDatabaseIntegration:
             db.close()
 
     def test_close_is_idempotent(self):
-        db = self._db(udf_workers=3)
+        db = self._db(workers=3)
         db.close()
         db.close()
 

@@ -25,6 +25,7 @@ from repro.engine.qcontext import CancellationToken, QueryContext
 from repro.errors import QueryCancelledError
 from repro.faults.injector import InjectedFault
 from repro.obs.metrics import MetricsRegistry
+from repro.storage.schema import DataType
 from tests.engine.differential import normalize_rows
 from tests.engine.test_null_semantics import CORPUS, TABLES
 
@@ -124,6 +125,76 @@ class TestParallelSerialDifferential:
         assert parallel_db.query(sql) == serial_db.query(sql)
 
 
+#: Every decomposable aggregate, over integer, float and boolean
+#: arguments of the NULL corpus's ``r`` table.
+DECOMPOSABLE_CALLS = [
+    "count(*)",
+    "count(a)",
+    "count(f)",
+    "count(a > 20)",
+    "countIf(f > 2.0)",
+    "sum(a)",
+    "sum(f)",
+    "sumIf(a, f > 2.0)",
+    "sumIf(f, a > 20)",
+    "avg(a)",
+    "avg(f)",
+    "min(a)",
+    "min(f)",
+    "max(a)",
+    "max(f)",
+    "varPop(f)",
+    "varSamp(a)",
+    "stddevPop(a)",
+    "stddevSamp(f)",
+]
+
+
+@pytest.fixture(scope="module")
+def three_row_morsels():
+    """Every 8-row corpus table splits into three aggregate morsels."""
+    metrics = MetricsRegistry()
+    db = Database(workers=4, morsel_rows=3, metrics=metrics)
+    for name, columns in TABLES.items():
+        db.create_table_from_dict(name, dict(columns))
+    yield db, metrics
+    db.close()
+
+
+class TestDecomposableAggregates:
+    """Merged morsel partials against the single partial of workers=1:
+    integer and count results are equal, float results equal to 1e-9
+    relative, and NULL exactly where the single partial has NULL."""
+
+    @pytest.mark.parametrize("group_by", ["", " GROUP BY g"])
+    @pytest.mark.parametrize("call", DECOMPOSABLE_CALLS)
+    def test_morsel_partials_match_one_partial(
+        self, serial_db, three_row_morsels, call, group_by
+    ):
+        db, metrics = three_row_morsels
+        sql = f"SELECT {call} FROM r{group_by}"
+        morsels_before = metrics.labeled_counter(
+            "parallel_morsels_total", label="worker"
+        ).total()
+        parallel = db.execute(sql)
+        assert (
+            metrics.labeled_counter("parallel_morsels_total", label="worker")
+            .total() > morsels_before
+        ), "the aggregate never reached the pool"
+        serial = serial_db.execute(sql)
+        dtype = serial.frame.columns[0].dtype
+        assert parallel.frame.columns[0].dtype is dtype
+        got = [row[0] for row in parallel.rows()]
+        expected = [row[0] for row in serial.rows()]
+        if dtype is DataType.FLOAT64:
+            assert got == [
+                None if value is None else pytest.approx(value, rel=1e-9)
+                for value in expected
+            ]
+        else:
+            assert got == expected
+
+
 class TestMorselPool:
     def test_partition_covers_rows_with_tail(self):
         pool = MorselPool(workers=1, morsel_rows=3)
@@ -207,7 +278,7 @@ class TestDatabaseWiring:
         db = Database()
         assert db.workers == 3 and db.parallel.enabled
         db.close()
-        assert db.parallel.executor is None  # released
+        assert not db.parallel.enabled  # released
 
     def test_explicit_workers_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -215,11 +286,13 @@ class TestDatabaseWiring:
         assert db.workers == 1 and not db.parallel.enabled
         db.close()
 
-    def test_engine_pool_shared_with_udf_morsels(self):
+    def test_engine_pool_shared_with_udf_morsels(self, monkeypatch):
+        from repro.engine import udf as udf_module
         from repro.engine.udf import BatchUdf
         from repro.storage.schema import DataType
 
-        db = Database(workers=2, morsel_rows=4, udf_morsel_rows=3)
+        monkeypatch.setattr(udf_module, "UDF_MORSEL_ROWS", 3)
+        db = Database(workers=2, morsel_rows=4)
         seen = set()
 
         def record(values):
@@ -304,10 +377,12 @@ class TestUdfMorselTailAccounting:
     NULL through morsel dispatch (masks never reach the slicing layer —
     NULL rows are compressed out before dispatch)."""
 
-    def _dbl_db(self, **kwargs):
+    def _dbl_db(self, monkeypatch, morsel_rows=3, **kwargs):
+        from repro.engine import udf as udf_module
         from repro.engine.udf import BatchUdf
         from repro.storage.schema import DataType
 
+        monkeypatch.setattr(udf_module, "UDF_MORSEL_ROWS", morsel_rows)
         db = Database(**kwargs)
         db.register_udf(
             BatchUdf(
@@ -319,8 +394,8 @@ class TestUdfMorselTailAccounting:
         return db
 
     @pytest.mark.parametrize("rows", [7, 10, 11])
-    def test_non_divisible_batch(self, rows):
-        db = self._dbl_db(udf_workers=2, udf_morsel_rows=3)
+    def test_non_divisible_batch(self, rows, monkeypatch):
+        db = self._dbl_db(monkeypatch, workers=2)
         db.create_table_from_dict(
             "t", {"x": [float(i) for i in range(rows)]}
         )
@@ -331,9 +406,9 @@ class TestUdfMorselTailAccounting:
         assert stats.calls == 1  # one logical batch, not one per morsel
         db.close()
 
-    @pytest.mark.parametrize("udf_workers", [1, 2])
-    def test_null_arguments_stay_null(self, udf_workers):
-        db = self._dbl_db(udf_workers=udf_workers, udf_morsel_rows=2)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_null_arguments_stay_null(self, workers, monkeypatch):
+        db = self._dbl_db(monkeypatch, morsel_rows=2, workers=workers)
         db.create_table_from_dict("t", {"x": [1.0, None, 3.0, None, 5.0]})
         out = [r[0] for r in db.query("SELECT dbl(x) FROM t")]
         assert out == [2.0, None, 6.0, None, 10.0]
@@ -341,8 +416,8 @@ class TestUdfMorselTailAccounting:
         assert db.udfs.get("dbl").stats.rows == 3
         db.close()
 
-    def test_null_and_zero_not_conflated_by_cache(self):
-        db = self._dbl_db(udf_cache_bytes=1 << 20)
+    def test_null_and_zero_not_conflated_by_cache(self, monkeypatch):
+        db = self._dbl_db(monkeypatch, udf_cache_bytes=1 << 20)
         db.create_table_from_dict("t", {"x": [0.0, None, 0.0, None]})
         for _ in range(2):  # second pass reads the cache
             out = [r[0] for r in db.query("SELECT dbl(x) FROM t")]

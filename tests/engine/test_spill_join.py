@@ -78,12 +78,8 @@ class TestSpillAccounting:
         for name, cols in tables().items():
             db.create_table_from_dict(name, dict(cols))
         db.query("SELECT count(*) FROM build b JOIN probe p ON b.bk = p.pk")
-        values = {
-            name: metric.to_dict()["value"]
-            for name, metric in metrics._metrics.items()
-        }
-        assert values["join_spill_partitions_total"] >= 2
-        assert values["join_spill_bytes_total"] > 0
+        assert metrics.counter("join_spill_partitions_total").value >= 2
+        assert metrics.counter("join_spill_bytes_total").value > 0
 
     def test_no_spill_without_budget(self):
         metrics = MetricsRegistry()

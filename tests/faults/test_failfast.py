@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchUdf, Database
+from repro.engine import udf as udf_module
 from repro.errors import CircuitOpenError, UdfError
 from repro.faults.injector import InjectedFault
 from repro.obs.metrics import MetricsRegistry
@@ -19,14 +20,14 @@ ROWS = 200
 MORSEL_ROWS = 8
 
 
+@pytest.fixture(autouse=True)
+def small_udf_morsels(monkeypatch):
+    monkeypatch.setattr(udf_module, "UDF_MORSEL_ROWS", MORSEL_ROWS)
+
+
 def make_parallel_db(**kwargs) -> tuple[Database, MetricsRegistry]:
     metrics = MetricsRegistry()
-    db = Database(
-        metrics=metrics,
-        udf_workers=2,
-        udf_morsel_rows=MORSEL_ROWS,
-        **kwargs,
-    )
+    db = Database(metrics=metrics, workers=2, **kwargs)
     db.create_table_from_dict("t", {"a": [float(i) for i in range(ROWS)]})
     return db, metrics
 
@@ -57,7 +58,7 @@ class TestFailFastMorsels:
         assert isinstance(exc_info.value.__cause__, InjectedFault)
 
         total_morsels = ROWS // MORSEL_ROWS
-        cancelled = metrics.counter("udf_morsels_cancelled_total").value
+        cancelled = metrics.counter("parallel_morsels_cancelled_total").value
         assert cancelled > 0
         # Fail fast: most morsels never ran the model.
         assert len(calls) + cancelled <= total_morsels
@@ -74,7 +75,7 @@ class TestFailFastMorsels:
         )
         rows = db.query("SELECT double_it(a) FROM t WHERE a < 32")
         assert sorted(r[0] for r in rows) == [2.0 * i for i in range(32)]
-        assert metrics.counter("udf_morsels_cancelled_total").value == 0
+        assert metrics.counter("parallel_morsels_cancelled_total").value == 0
 
 
 class TestBreaker:

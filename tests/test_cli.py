@@ -175,8 +175,7 @@ class TestStatsCommand:
         import json
 
         assert main(
-            ["stats", "--scale", "1", "--udf-workers", "2",
-             "--udf-cache-mb", "4"]
+            ["stats", "--scale", "1", "--udf-cache-mb", "4"]
         ) == 0
         data = json.loads(capsys.readouterr().out)
         # The sample workload repeats a UDF query: the first run misses,
