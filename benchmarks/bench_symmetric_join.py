@@ -15,7 +15,6 @@ from repro.engine.physical import (
     _match_numeric_keys,
     _symmetric_hash_join,
 )
-from repro.engine.profiler import Profiler
 from repro.engine.udf import UdfRegistry
 from repro.storage.catalog import Catalog
 
@@ -25,7 +24,6 @@ def _ctx(budget):
         catalog=Catalog(),
         functions=FunctionRegistry(),
         udfs=UdfRegistry(),
-        profiler=Profiler(),
         symmetric_join_memory=budget,
     )
 

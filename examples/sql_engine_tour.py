@@ -2,8 +2,8 @@
 
 The paper's contribution sits on a real database: this example shows the
 substrate on its own — DDL/DML, joins, aggregation, views, indexes, the
-optimizer's EXPLAIN output, UDFs, and the per-clause profiler behind
-Fig. 10.
+optimizer's EXPLAIN output, UDFs, and the per-clause operator time behind
+Fig. 10, read from the query's trace.
 
 Run:  python examples/sql_engine_tour.py
 """
@@ -11,6 +11,7 @@ Run:  python examples/sql_engine_tour.py
 import numpy as np
 
 from repro.engine import BatchUdf, Database
+from repro.obs.trace import format_span_tree, operator_categories
 from repro.storage.schema import DataType
 
 def main() -> None:
@@ -69,17 +70,24 @@ def main() -> None:
     rows = db.query("SELECT deviceID, toF(temp) FROM sensors ORDER BY deviceID LIMIT 3")
     print("\nUDF in a projection:", rows)
 
-    # The profiler behind Fig. 10.
-    db.profiler.reset()
+    # Fig. 10's per-clause breakdown: every plan node runs in one
+    # operator:<category> span, and the view sums their self time.
+    db.tracer.enable()
     db.query(
         "SELECT s.deviceID, sum(r.value) FROM sensors s, readings r "
         "WHERE s.deviceID = r.deviceID GROUP BY s.deviceID"
     )
+    db.tracer.disable()
+    trace = db.tracer.last_trace()
+    print("\nthat query's trace:")
+    print(format_span_tree(trace.find("execute")))
+    categories = operator_categories([trace])
+    total = sum(c.seconds for c in categories.values()) or 1.0
     print("\nper-clause time share of that query:")
-    for clause, share in sorted(
-        db.profiler.breakdown().items(), key=lambda kv: -kv[1]
+    for clause, entry in sorted(
+        categories.items(), key=lambda kv: -kv[1].seconds
     ):
-        print(f"  {clause:<12} {share:6.1%}")
+        print(f"  {clause:<12} {entry.seconds / total:6.1%}")
 
 if __name__ == "__main__":
     main()

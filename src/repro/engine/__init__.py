@@ -5,7 +5,7 @@ Pipeline: SQL text -> AST (:mod:`repro.sql`) -> logical plan
 (:mod:`repro.engine.optimizer`) -> vectorized physical execution
 (:mod:`repro.engine.physical`).  :class:`repro.engine.database.Database` is
 the user-facing facade tying the pieces together with a catalog, UDF
-registry, statistics, profiler and cost models.
+registry, statistics, tracer and cost models.
 """
 
 from repro.engine.database import Database, Result

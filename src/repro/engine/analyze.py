@@ -1,51 +1,22 @@
 """EXPLAIN ANALYZE: per-operator actual time/rows next to the estimates.
 
 The paper's cost-model evaluation (Fig. 12/13) compares *predicted*
-operator cost against *actual* runtime.  :class:`PlanAnalyzer` hooks the
-physical executor (see :func:`repro.engine.physical.execute_plan`) and
-records, for every logical plan node, its inclusive wall-clock time and
-output row count; :func:`collect_actuals` then lines those up with the
-optimizer's ``estimated_rows``/``estimated_cost`` annotations and derives
-a per-operator cardinality q-error the cost-model experiment consumes.
-
-The analyzer costs one attribute check per operator when absent — the
-default — so ordinary execution is unaffected.
+operator cost against *actual* runtime.  The executor opens one
+``operator:<category>`` span per plan node with ``node=id(plan)`` and
+its output ``rows`` (see :func:`repro.engine.physical.execute_plan`);
+:func:`collect_actuals` matches those spans back to the plan's nodes,
+lines them up with the optimizer's ``estimated_rows``/``estimated_cost``
+annotations and derives a per-operator cardinality q-error the
+cost-model experiment consumes.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.engine.logical import LogicalPlan
-
-
-@dataclass
-class _NodeRecord:
-    seconds: float = 0.0
-    rows: int = 0
-    calls: int = 0
-
-
-class PlanAnalyzer:
-    """Records per-plan-node inclusive timing during one execution."""
-
-    def __init__(self) -> None:
-        self._records: dict[int, _NodeRecord] = {}
-
-    # Called by the executor around every node ------------------------
-    def enter(self, plan: LogicalPlan) -> float:
-        return time.perf_counter()
-
-    def exit(self, plan: LogicalPlan, started: float, rows: int) -> None:
-        record = self._records.setdefault(id(plan), _NodeRecord())
-        record.seconds += time.perf_counter() - started
-        record.rows = rows
-        record.calls += 1
-
-    def record_for(self, plan: LogicalPlan) -> Optional[_NodeRecord]:
-        return self._records.get(id(plan))
+from repro.obs.trace import Span
 
 
 @dataclass
@@ -114,32 +85,43 @@ class ExplainAnalyzeOutput:
 
 
 def collect_actuals(
-    plan: LogicalPlan, analyzer: PlanAnalyzer
+    plan: LogicalPlan, execute_span: Span
 ) -> list[OperatorActuals]:
-    """Pre-order operator list pairing estimates with measured actuals."""
+    """Pre-order operator list pairing estimates with measured actuals.
+
+    Each plan node's actuals are read from the spans under
+    ``execute_span`` tagged with its ``node`` id: inclusive seconds and
+    calls summed over them, rows from the last.  Self seconds subtract
+    the node's child plan operators only.
+    """
+    spans: dict[int, list[Span]] = {}
+    for span in execute_span.walk():
+        node_id = span.attributes.get("node")
+        if node_id is not None:
+            spans.setdefault(node_id, []).append(span)
+
+    def seconds(node: LogicalPlan) -> float:
+        return sum(span.duration for span in spans.get(id(node), ()))
+
     out: list[OperatorActuals] = []
 
     def visit(node: LogicalPlan, depth: int) -> None:
-        record = analyzer.record_for(node)
         children = node.children()
-        child_seconds = 0.0
-        for child in children:
-            child_record = analyzer.record_for(child)
-            if child_record is not None:
-                child_seconds += child_record.seconds
-        if record is not None:
+        node_spans = spans.get(id(node))
+        if node_spans:
+            inclusive = seconds(node)
             out.append(
                 OperatorActuals(
                     operator=node.describe(),
                     depth=depth,
                     estimated_rows=node.estimated_rows,
                     estimated_cost=node.estimated_cost,
-                    actual_rows=record.rows,
-                    actual_seconds=record.seconds,
+                    actual_rows=node_spans[-1].attributes.get("rows", 0),
+                    actual_seconds=inclusive,
                     actual_self_seconds=max(
-                        0.0, record.seconds - child_seconds
+                        0.0, inclusive - sum(seconds(c) for c in children)
                     ),
-                    calls=record.calls,
+                    calls=len(node_spans),
                 )
             )
         for child in children:

@@ -1,7 +1,7 @@
 """The user-facing database facade (the "ClickHouse" of this repo).
 
 :class:`Database` owns the catalog, UDF/function registries, statistics,
-profiler and optimizer configuration, and executes SQL text end to end::
+tracer and optimizer configuration, and executes SQL text end to end::
 
     db = Database()
     db.create_table_from_dict("t", {"a": [1, 2, 3]})
@@ -36,7 +36,6 @@ from repro.analysis.semantic import SemanticAnalyzer
 from repro.faults.injector import make_injector
 from repro.engine.analyze import (
     ExplainAnalyzeOutput,
-    PlanAnalyzer,
     collect_actuals,
     format_analysis,
 )
@@ -59,7 +58,6 @@ from repro.engine.parallel import DEFAULT_MORSEL_ROWS, MorselPool
 from repro.engine.physical import ExecutionContext, execute_plan
 from repro.engine.qcontext import CancellationToken, QueryContext
 from repro.engine.planner import Planner
-from repro.engine.profiler import Profiler
 from repro.engine.statistics import StatisticsProvider
 from repro.engine.udf import BatchUdf, UdfRegistry
 from repro.obs.metrics import MetricsRegistry
@@ -230,7 +228,6 @@ class Database:
         self,
         *,
         optimizer_config: Optional[OptimizerConfig] = None,
-        profile: bool = True,
         plan_cache: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -302,16 +299,16 @@ class Database:
             self.kernels: Optional[KernelCache] = kernel_cache
         else:
             self.kernels = KernelCache(udfs=self.udfs) if fused_kernels else None
-        #: The instrumentation spine.  A disabled tracer hands out the
-        #: shared null span, so the default costs one attribute check at
-        #: the few span sites on the query path (never per row).
+        #: The instrumentation spine, and the one operator clock: with
+        #: it enabled, every plan node runs in an ``operator:<category>``
+        #: span.  A disabled tracer hands out the shared null span, so the
+        #: default costs one attribute check per span site (never per row).
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: ``None`` (the default) means no metric is ever touched on the
         #: hot path; pass a registry to count queries, rows scanned, plan
         #: cache hits, and UDF batch sizes.
         self.metrics = metrics
-        self.profiler = Profiler(enabled=profile, tracer=self.tracer)
-        self.udfs.attach_observers(self.profiler, metrics)
+        self.udfs.attach_observers(metrics)
         #: Deterministic fault injector.  ``fault_plan`` accepts a
         #: :class:`~repro.faults.injector.FaultPlan`, plan text, or a
         #: prebuilt injector; when None, the ``FAULT_PLAN`` environment
@@ -345,7 +342,7 @@ class Database:
         self.optimizer_config = optimizer_config or OptimizerConfig()
         #: The ExecutionContext of the statement currently executing, so
         #: nested sub-plan execution (scalar subqueries, UDF-internal
-        #: queries) shares the same profiler/analyzer/metrics instead of
+        #: queries) shares the same tracer/metrics instead of
         #: reporting into a fresh, invisible context.
         self._active_context: Optional[ExecutionContext] = None
         self._planner = Planner(self._resolve_view)
@@ -604,7 +601,7 @@ class Database:
         if self._active_context is not None:
             # Nested sub-plan (scalar subquery or UDF-internal query):
             # execute inside the statement's existing context so its
-            # operators land in the same profiler/analyzer/metrics.
+            # operators land in the same trace and metrics.
             return execute_plan(plan, self._active_context)
         with self.tracer.span("execute") as span:
             frame = self._execute_in_context(plan, self._execution_context())
@@ -650,22 +647,25 @@ class Database:
         self, statement: SelectStatement
     ) -> ExplainAnalyzeOutput:
         plan = self._optimized_plan(statement)
-        # Fill estimated_rows/estimated_cost on every plan node so the
-        # analyzer has something to compare actuals against.
+        # Fill estimated_rows/estimated_cost on every plan node so there
+        # is something to compare actuals against.
         self.optimizer_config.cost_model.estimate(plan, self.statistics)
+        # Actuals come from the operator spans: the database's own trace
+        # when tracing is on, a private one otherwise.
+        tracer = self.tracer if self.tracer.enabled else Tracer(enabled=True)
         ctx = self._execution_context()
-        ctx.analyzer = PlanAnalyzer()
+        ctx.tracer = tracer
         cache_before = (
             self.infer_cache.snapshot() if self.infer_cache is not None else None
         )
-        with self.tracer.span("execute", analyze=True) as span:
+        with tracer.span("execute", analyze=True) as span:
             started = time.perf_counter()
             frame = self._execute_in_context(plan, ctx)
             total = time.perf_counter() - started
             span.set("rows", frame.num_rows)
         output = ExplainAnalyzeOutput(
             plan=plan,
-            operators=collect_actuals(plan, ctx.analyzer),
+            operators=collect_actuals(plan, span),
             total_seconds=total,
             result_rows=frame.num_rows,
         )
@@ -826,7 +826,7 @@ class Database:
             catalog=self.catalog,
             functions=self.functions,
             udfs=self.udfs,
-            profiler=self.profiler,
+            tracer=self.tracer,
             subquery_executor=self._execute_scalar_subquery,
             metrics=self.metrics,
             query=self._active_query,
@@ -861,14 +861,12 @@ class Database:
     # DDL
     # ------------------------------------------------------------------
     def _run_create_table(self, statement: CreateTable) -> Result:
-        # Run the defining SELECT outside the materialize measurement so
-        # its operator costs land in their own profiler categories.
         frame = (
             self._run_select(statement.as_select)
             if statement.as_select is not None
             else None
         )
-        with self.profiler.measure("materialize") as token:
+        with self.tracer.span("operator:materialize") as span:
             if frame is not None:
                 table = frame.to_table(statement.name)
                 self._admit_table_memory(table.nbytes(), statement.name)
@@ -886,7 +884,7 @@ class Database:
                 table, temp=statement.temp, replace=statement.replace
             )
             self.statistics.invalidate(statement.name)
-            token.record_rows(table.num_rows)
+            span.set("rows", table.num_rows)
         return Result(
             affected_rows=table.num_rows,
             message=f"created table {statement.name}",
@@ -919,7 +917,7 @@ class Database:
     # ------------------------------------------------------------------
     def _run_insert(self, statement: InsertStatement) -> Result:
         table = self.catalog.get_table(statement.table_name)
-        with self.profiler.measure("insert") as token:
+        with self.tracer.span("operator:insert") as span:
             if statement.from_select is not None:
                 frame = self._run_select(statement.from_select)
                 incoming = frame.to_table(statement.table_name)
@@ -932,7 +930,7 @@ class Database:
             if statement.columns:
                 rows = self._reorder_rows(table, statement.columns, rows)
             table.append_rows(rows)
-            token.record_rows(len(rows))
+            span.set("rows", len(rows))
         self.statistics.invalidate(statement.table_name)
         self.catalog.invalidate_indexes(statement.table_name)
         return Result(affected_rows=len(rows))
@@ -982,7 +980,7 @@ class Database:
     def _run_update(self, statement: UpdateStatement) -> Result:
         table = self.catalog.get_table(statement.table_name)
         frame = Frame.from_table(table, statement.table_name)
-        with self.profiler.measure("update") as token:
+        with self.tracer.span("operator:update") as span:
             evaluator = Evaluator(
                 frame,
                 self.functions,
@@ -1034,7 +1032,7 @@ class Database:
                     None if current_valid.all() else current_valid,
                 )
             affected = int(mask.sum())
-            token.record_rows(affected)
+            span.set("rows", affected)
         self.statistics.invalidate(statement.table_name)
         self.catalog.invalidate_indexes(statement.table_name)
         return Result(affected_rows=affected)

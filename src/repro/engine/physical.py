@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # imported for annotations only
-    from repro.engine.analyze import PlanAnalyzer
     from repro.engine.kernels import KernelCache
     from repro.engine.memory import MemoryAccountant
     from repro.engine.parallel import MorselPool
     from repro.engine.qcontext import QueryContext
     from repro.faults.injector import FaultInjector
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from repro.engine.logical import (
     Sort,
     SubqueryScan,
 )
-from repro.engine.profiler import Profiler
 from repro.engine.udf import UdfRegistry
 from repro.sql.ast_nodes import (
     ColumnRef,
@@ -64,22 +63,22 @@ class ExecutionContext:
     """Everything operators need at run time.
 
     One context is shared by a whole query *including* nested sub-plan
-    execution (scalar subqueries, UDF-internal statements), so profiler,
-    analyzer and metrics attribution follow the work wherever it runs.
+    execution (scalar subqueries, UDF-internal statements), so operator
+    spans and metrics attribution follow the work wherever it runs.
     """
 
     catalog: Catalog
     functions: FunctionRegistry
     udfs: UdfRegistry
-    profiler: Profiler
     subquery_executor: Optional[Callable[[Any], Any]] = None
     #: Byte budget for each side of a symmetric hash join before bucket
     #: eviction kicks in (hint rule 3's LRU buffer).
     symmetric_join_memory: int = 64 * 1024 * 1024
     #: Populated by symmetric joins for tests/benchmarks to inspect.
     last_symmetric_stats: dict[str, int] = field(default_factory=dict)
-    #: EXPLAIN ANALYZE hook recording per-node time/rows; None when off.
-    analyzer: Optional["PlanAnalyzer"] = None
+    #: Span spine for per-node operator timing (Fig. 10, EXPLAIN
+    #: ANALYZE); None or a disabled tracer times nothing.
+    tracer: Optional["Tracer"] = None
     #: Metrics registry for operational counters; None (default) is free.
     metrics: Optional["MetricsRegistry"] = None
     #: Populated by grace hash join spills for tests/benchmarks.
@@ -111,66 +110,50 @@ class ExecutionContext:
 
 
 def execute_plan(plan: LogicalPlan, ctx: ExecutionContext) -> Frame:
-    """Run a logical plan to completion and return the result frame."""
+    """Run a logical plan to completion and return the result frame.
+
+    The engine's one operator clock: with tracing on, every plan node
+    runs inside one ``operator:<category>`` span carrying its output
+    ``rows`` and ``node=id(plan)``, so children nest inside their
+    parent's span.  With tracing off nothing is timed.
+    """
     if ctx.query is not None:
         ctx.query.check()
     if ctx.faults is not None:
         ctx.faults.fire("operator.next_batch", op=type(plan).__name__)
-    analyzer = ctx.analyzer
-    if analyzer is None:
-        return _execute_node(plan, ctx)
-    started = analyzer.enter(plan)
-    frame = _execute_node(plan, ctx)
-    analyzer.exit(plan, started, frame.num_rows)
+    operator = _OPERATORS.get(type(plan))
+    if operator is None:
+        raise ExecutionError(
+            f"no physical implementation for {type(plan).__name__}"
+        )
+    span_name, run = operator
+    tracer = ctx.tracer
+    if tracer is None or not tracer.enabled:
+        return run(plan, ctx)
+    with tracer.span(span_name, node=id(plan)) as span:
+        frame = run(plan, ctx)
+        span.set("rows", frame.num_rows)
     return frame
-
-
-def _execute_node(plan: LogicalPlan, ctx: ExecutionContext) -> Frame:
-    if isinstance(plan, Scan):
-        return _execute_scan(plan, ctx)
-    if isinstance(plan, EmptyScan):
-        return _execute_empty_scan(plan, ctx)
-    if isinstance(plan, SubqueryScan):
-        return _execute_subquery_scan(plan, ctx)
-    if isinstance(plan, Filter):
-        return _execute_filter(plan, ctx)
-    if isinstance(plan, Project):
-        return _execute_project(plan, ctx)
-    if isinstance(plan, CrossJoin):
-        return _execute_cross_join(plan, ctx)
-    if isinstance(plan, HashJoin):
-        return _execute_hash_join(plan, ctx)
-    if isinstance(plan, Aggregate):
-        return _execute_aggregate(plan, ctx)
-    if isinstance(plan, Sort):
-        return _execute_sort(plan, ctx)
-    if isinstance(plan, Limit):
-        return _execute_limit(plan, ctx)
-    if isinstance(plan, Distinct):
-        return _execute_distinct(plan, ctx)
-    raise ExecutionError(f"no physical implementation for {type(plan).__name__}")
 
 
 # ----------------------------------------------------------------------
 # Scans
 # ----------------------------------------------------------------------
 def _execute_scan(plan: Scan, ctx: ExecutionContext) -> Frame:
-    with ctx.profiler.measure("scan") as token:
-        if plan.table_name == "__dual__":
-            dummy = FrameColumn(None, "__dummy__", DataType.INT64,
-                                np.zeros(1, dtype=np.int64))
-            return Frame([dummy])
-        table = ctx.catalog.get_table(plan.table_name)
-        if isinstance(table, PartitionedTable):
-            frame = _scan_partitioned(plan, table, ctx)
-        else:
-            frame = Frame.from_table(table, plan.alias or table.name)
-        token.record_rows(frame.num_rows)
-        if ctx.metrics is not None:
-            ctx.metrics.counter(
-                "rows_scanned_total", "Rows produced by table scans"
-            ).inc(frame.num_rows)
-        return frame
+    if plan.table_name == "__dual__":
+        dummy = FrameColumn(None, "__dummy__", DataType.INT64,
+                            np.zeros(1, dtype=np.int64))
+        return Frame([dummy])
+    table = ctx.catalog.get_table(plan.table_name)
+    if isinstance(table, PartitionedTable):
+        frame = _scan_partitioned(plan, table, ctx)
+    else:
+        frame = Frame.from_table(table, plan.alias or table.name)
+    if ctx.metrics is not None:
+        ctx.metrics.counter(
+            "rows_scanned_total", "Rows produced by table scans"
+        ).inc(frame.num_rows)
+    return frame
 
 
 def _scan_partitioned(
@@ -241,37 +224,35 @@ def _execute_filter(plan: Filter, ctx: ExecutionContext) -> Frame:
     slots = _aggregate_slots_below(plan.child)
     pool = ctx.parallel
     nonnull = plan.nonnull_columns
-    with ctx.profiler.measure("filter") as token:
-        result = frame
-        for conjunct in _ordered_conjuncts(plan.predicate, ctx):
-            if result.num_rows == 0:
-                break
-            if (
-                pool is not None
-                and pool.should_parallelize(result.num_rows)
-                and slots is None
-                and _parallel_safe_expr(conjunct, ctx)
-            ):
-                pieces = pool.run_rows(
-                    result.num_rows,
-                    lambda start, stop, conjunct=conjunct, result=result: (
-                        _filter_mask(
-                            conjunct,
-                            result.slice(start, stop),
-                            ctx,
-                            None,
-                            nonnull,
-                        )
-                    ),
-                    query=ctx.query,
-                    faults=ctx.faults,
-                    op="Filter",
-                )
-                mask = np.concatenate(pieces)
-            else:
-                mask = _filter_mask(conjunct, result, ctx, slots, nonnull)
-            result = result.filter(mask)
-        token.record_rows(result.num_rows)
+    result = frame
+    for conjunct in _ordered_conjuncts(plan.predicate, ctx):
+        if result.num_rows == 0:
+            break
+        if (
+            pool is not None
+            and pool.should_parallelize(result.num_rows)
+            and slots is None
+            and _parallel_safe_expr(conjunct, ctx)
+        ):
+            pieces = pool.run_rows(
+                result.num_rows,
+                lambda start, stop, conjunct=conjunct, result=result: (
+                    _filter_mask(
+                        conjunct,
+                        result.slice(start, stop),
+                        ctx,
+                        None,
+                        nonnull,
+                    )
+                ),
+                query=ctx.query,
+                faults=ctx.faults,
+                op="Filter",
+            )
+            mask = np.concatenate(pieces)
+        else:
+            mask = _filter_mask(conjunct, result, ctx, slots, nonnull)
+        result = result.filter(mask)
     return result
 
 
@@ -364,37 +345,33 @@ def _execute_project(plan: Project, ctx: ExecutionContext) -> Frame:
     slots = dict(plan.aggregate_slots)
     slots.update(_aggregate_slots_below(plan.child) or {})
     pool = ctx.parallel
-    with ctx.profiler.measure("project") as token:
-        if (
-            pool is not None
-            and pool.should_parallelize(frame.num_rows)
-            and not slots
-            and all(
-                not isinstance(item.expression, Star)
-                and _parallel_safe_expr(item.expression, ctx)
-                for item in plan.items
-            )
-        ):
-            pieces = pool.run_rows(
-                frame.num_rows,
-                lambda start, stop: _project_frame(
-                    plan.items,
-                    frame.slice(start, stop),
-                    ctx,
-                    None,
-                    plan.nonnull_columns,
-                ),
-                query=ctx.query,
-                faults=ctx.faults,
-                op="Project",
-            )
-            result = concat_frames(pieces)
-        else:
-            result = _project_frame(
-                plan.items, frame, ctx, slots or None, plan.nonnull_columns
-            )
-        token.record_rows(result.num_rows)
-    return result
+    if (
+        pool is not None
+        and pool.should_parallelize(frame.num_rows)
+        and not slots
+        and all(
+            not isinstance(item.expression, Star)
+            and _parallel_safe_expr(item.expression, ctx)
+            for item in plan.items
+        )
+    ):
+        pieces = pool.run_rows(
+            frame.num_rows,
+            lambda start, stop: _project_frame(
+                plan.items,
+                frame.slice(start, stop),
+                ctx,
+                None,
+                plan.nonnull_columns,
+            ),
+            query=ctx.query,
+            faults=ctx.faults,
+            op="Project",
+        )
+        return concat_frames(pieces)
+    return _project_frame(
+        plan.items, frame, ctx, slots or None, plan.nonnull_columns
+    )
 
 
 def _project_frame(
@@ -491,14 +468,11 @@ def _execute_cross_join(plan: CrossJoin, ctx: ExecutionContext) -> Frame:
     assert plan.left is not None and plan.right is not None
     left = execute_plan(plan.left, ctx)
     right = execute_plan(plan.right, ctx)
-    with ctx.profiler.measure("join") as token:
-        n_left, n_right = left.num_rows, right.num_rows
-        _admit_join_output(ctx, left, right, n_left * n_right, "cross join")
-        left_idx = np.repeat(np.arange(n_left, dtype=np.int64), n_right)
-        right_idx = np.tile(np.arange(n_right, dtype=np.int64), n_left)
-        result = left.take(left_idx).concat_columns(right.take(right_idx))
-        token.record_rows(result.num_rows)
-    return result
+    n_left, n_right = left.num_rows, right.num_rows
+    _admit_join_output(ctx, left, right, n_left * n_right, "cross join")
+    left_idx = np.repeat(np.arange(n_left, dtype=np.int64), n_right)
+    right_idx = np.tile(np.arange(n_right, dtype=np.int64), n_left)
+    return left.take(left_idx).concat_columns(right.take(right_idx))
 
 
 def _execute_hash_join(plan: HashJoin, ctx: ExecutionContext) -> Frame:
@@ -506,36 +480,32 @@ def _execute_hash_join(plan: HashJoin, ctx: ExecutionContext) -> Frame:
     left = execute_plan(plan.left, ctx)
     right = execute_plan(plan.right, ctx)
 
-    with ctx.profiler.measure("join") as token:
-        left_keys, left_null = _evaluate_keys(left, plan.left_keys, ctx)
-        right_keys, right_null = _evaluate_keys(right, plan.right_keys, ctx)
-        result: Optional[Frame] = None
-        if plan.symmetric:
-            left_idx, right_idx = _symmetric_hash_join(
-                left_keys, right_keys, ctx,
-                left_null=left_null, right_null=right_null,
-            )
-        else:
-            from repro.engine.spill import maybe_grace_hash_join
+    left_keys, left_null = _evaluate_keys(left, plan.left_keys, ctx)
+    right_keys, right_null = _evaluate_keys(right, plan.right_keys, ctx)
+    result: Optional[Frame] = None
+    if plan.symmetric:
+        left_idx, right_idx = _symmetric_hash_join(
+            left_keys, right_keys, ctx,
+            left_null=left_null, right_null=right_null,
+        )
+    else:
+        from repro.engine.spill import maybe_grace_hash_join
 
-            result = maybe_grace_hash_join(
-                plan, left, right, left_keys, left_null,
-                right_keys, right_null, ctx,
-            )
-            if result is None:
-                left_idx, right_idx = _match_keys(
-                    left_keys, right_keys, left_null, right_null, ctx=ctx
-                )
+        result = maybe_grace_hash_join(
+            plan, left, right, left_keys, left_null,
+            right_keys, right_null, ctx,
+        )
         if result is None:
-            _admit_join_output(ctx, left, right, len(left_idx), "hash join")
-            result = left.take(left_idx).concat_columns(right.take(right_idx))
-        token.record_rows(result.num_rows)
+            left_idx, right_idx = _match_keys(
+                left_keys, right_keys, left_null, right_null, ctx=ctx
+            )
+    if result is None:
+        _admit_join_output(ctx, left, right, len(left_idx), "hash join")
+        result = left.take(left_idx).concat_columns(right.take(right_idx))
 
     if plan.residual is not None:
-        with ctx.profiler.measure("filter") as token:
-            mask = ctx.evaluator(result).evaluate_mask(plan.residual)
-            result = result.filter(mask)
-            token.record_rows(result.num_rows)
+        mask = ctx.evaluator(result).evaluate_mask(plan.residual)
+        result = result.filter(mask)
     return result
 
 
@@ -909,58 +879,55 @@ def _symmetric_hash_join(
 def _execute_aggregate(plan: Aggregate, ctx: ExecutionContext) -> Frame:
     assert plan.child is not None
     frame = execute_plan(plan.child, ctx)
-    with ctx.profiler.measure("groupby") as token:
-        evaluator = ctx.evaluator(frame)
+    evaluator = ctx.evaluator(frame)
 
-        if plan.group_by:
-            key_vectors = [evaluator.evaluate(e) for e in plan.group_by]
-            key_arrays = [
-                v.materialize(frame.num_rows) for v in key_vectors
-            ]
-            key_nulls = [
-                _explicit_null(v, frame.num_rows) for v in key_vectors
-            ]
-            group_ids, group_rows = _factorize(key_arrays, key_nulls)
-            num_groups = len(group_rows)
-        else:
-            group_ids = np.zeros(frame.num_rows, dtype=np.int64)
-            group_rows = np.zeros(min(1, max(frame.num_rows, 1)), dtype=np.int64)
-            num_groups = 1
-            key_vectors = []
-            key_arrays = []
-            key_nulls = []
+    if plan.group_by:
+        key_vectors = [evaluator.evaluate(e) for e in plan.group_by]
+        key_arrays = [
+            v.materialize(frame.num_rows) for v in key_vectors
+        ]
+        key_nulls = [
+            _explicit_null(v, frame.num_rows) for v in key_vectors
+        ]
+        group_ids, group_rows = _factorize(key_arrays, key_nulls)
+        num_groups = len(group_rows)
+    else:
+        group_ids = np.zeros(frame.num_rows, dtype=np.int64)
+        group_rows = np.zeros(min(1, max(frame.num_rows, 1)), dtype=np.int64)
+        num_groups = 1
+        key_vectors = []
+        key_arrays = []
+        key_nulls = []
 
-        out_columns: list[FrameColumn] = []
-        for position, (expression, vector) in enumerate(
-            zip(plan.group_by, key_vectors)
-        ):
-            name, qualifier = _group_key_name(expression, position)
-            null = key_nulls[position]
-            valid: Optional[np.ndarray] = None
-            if null is not None and frame.num_rows:
-                group_valid = ~null[group_rows]
-                valid = None if group_valid.all() else group_valid
-            out_columns.append(
-                FrameColumn(
-                    qualifier,
-                    name,
-                    vector.dtype,
-                    key_arrays[position][group_rows]
-                    if frame.num_rows
-                    else key_arrays[position][:0],
-                    valid,
-                )
+    out_columns: list[FrameColumn] = []
+    for position, (expression, vector) in enumerate(
+        zip(plan.group_by, key_vectors)
+    ):
+        name, qualifier = _group_key_name(expression, position)
+        null = key_nulls[position]
+        valid: Optional[np.ndarray] = None
+        if null is not None and frame.num_rows:
+            group_valid = ~null[group_rows]
+            valid = None if group_valid.all() else group_valid
+        out_columns.append(
+            FrameColumn(
+                qualifier,
+                name,
+                vector.dtype,
+                key_arrays[position][group_rows]
+                if frame.num_rows
+                else key_arrays[position][:0],
+                valid,
             )
+        )
 
-        for spec in plan.aggregates:
-            out_columns.append(
-                _compute_aggregate(
-                    spec, frame, ctx, evaluator, group_ids, num_groups
-                )
+    for spec in plan.aggregates:
+        out_columns.append(
+            _compute_aggregate(
+                spec, frame, ctx, evaluator, group_ids, num_groups
             )
-        result = Frame(out_columns)
-        token.record_rows(result.num_rows)
-    return result
+        )
+    return Frame(out_columns)
 
 
 #: Aggregates reduced through per-group partial states that merge
@@ -1414,26 +1381,23 @@ def _execute_sort(plan: Sort, ctx: ExecutionContext) -> Frame:
     assert plan.child is not None
     frame = execute_plan(plan.child, ctx)
     slots = _aggregate_slots_below(plan.child)
-    with ctx.profiler.measure("sort") as token:
-        evaluator = ctx.evaluator(frame, slots)
-        code_arrays = []
-        for order in plan.order_by:
-            vector = evaluator.evaluate(order.expression)
-            data = vector.materialize(frame.num_rows)
-            code_arrays.append(
-                _sort_codes(
-                    data,
-                    vector.null_mask(frame.num_rows),
-                    ascending=order.ascending,
-                )
+    evaluator = ctx.evaluator(frame, slots)
+    code_arrays = []
+    for order in plan.order_by:
+        vector = evaluator.evaluate(order.expression)
+        data = vector.materialize(frame.num_rows)
+        code_arrays.append(
+            _sort_codes(
+                data,
+                vector.null_mask(frame.num_rows),
+                ascending=order.ascending,
             )
-        if code_arrays:
-            indices = np.lexsort(list(reversed(code_arrays)))
-        else:
-            indices = np.arange(frame.num_rows)
-        result = frame.take(indices)
-        token.record_rows(result.num_rows)
-    return result
+        )
+    if code_arrays:
+        indices = np.lexsort(list(reversed(code_arrays)))
+    else:
+        indices = np.arange(frame.num_rows)
+    return frame.take(indices)
 
 
 def _object_sort_key(value: Any) -> tuple[int, int, Any]:
@@ -1513,25 +1477,36 @@ def _sort_codes(
 def _execute_limit(plan: Limit, ctx: ExecutionContext) -> Frame:
     assert plan.child is not None
     frame = execute_plan(plan.child, ctx)
-    with ctx.profiler.measure("limit") as token:
-        result = frame.slice(plan.offset, plan.offset + plan.count)
-        token.record_rows(result.num_rows)
-    return result
+    return frame.slice(plan.offset, plan.offset + plan.count)
 
 
 def _execute_distinct(plan: Distinct, ctx: ExecutionContext) -> Frame:
     assert plan.child is not None
     frame = execute_plan(plan.child, ctx)
-    with ctx.profiler.measure("distinct") as token:
-        if frame.num_rows == 0 or not frame.columns:
-            return frame
-        arrays = [c.data for c in frame.columns]
-        # Explicit masks only — in-band None/NaN are honored by
-        # ``_factorize`` itself, so no scan is needed for mask-free columns.
-        nulls = [
-            None if c.valid is None else ~c.valid for c in frame.columns
-        ]
-        _, representatives = _factorize(arrays, nulls)
-        result = frame.take(np.sort(representatives))
-        token.record_rows(result.num_rows)
-    return result
+    if frame.num_rows == 0 or not frame.columns:
+        return frame
+    arrays = [c.data for c in frame.columns]
+    # Explicit masks only — in-band None/NaN are honored by
+    # ``_factorize`` itself, so no scan is needed for mask-free columns.
+    nulls = [
+        None if c.valid is None else ~c.valid for c in frame.columns
+    ]
+    _, representatives = _factorize(arrays, nulls)
+    return frame.take(np.sort(representatives))
+
+
+#: Each plan node type's executor, and the span it runs in: Fig. 10's
+#: clause categories, with every scan kind a scan and both joins a join.
+_OPERATORS: dict[type, tuple[str, Callable[[Any, ExecutionContext], Frame]]] = {
+    Scan: ("operator:scan", _execute_scan),
+    EmptyScan: ("operator:scan", _execute_empty_scan),
+    SubqueryScan: ("operator:scan", _execute_subquery_scan),
+    Filter: ("operator:filter", _execute_filter),
+    Project: ("operator:project", _execute_project),
+    CrossJoin: ("operator:join", _execute_cross_join),
+    HashJoin: ("operator:join", _execute_hash_join),
+    Aggregate: ("operator:groupby", _execute_aggregate),
+    Sort: ("operator:sort", _execute_sort),
+    Limit: ("operator:limit", _execute_limit),
+    Distinct: ("operator:distinct", _execute_distinct),
+}

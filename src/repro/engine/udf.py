@@ -224,7 +224,6 @@ class UdfRegistry:
         self._generation_ref = [0]
         #: Guards registration and breaker creation across shared views.
         self._registry_lock = threading.RLock()
-        self._profiler = None
         self._metrics = None
         self._cache: Optional[InferenceCache] = None
         self._pool: Optional["MorselPool"] = None
@@ -263,16 +262,14 @@ class UdfRegistry:
         view._breaker_clock = self._breaker_clock
         return view
 
-    def attach_observers(self, profiler=None, metrics=None) -> None:
-        """Report UDF calls into a profiler's ``udf`` category and a
-        metrics registry (batch-size histogram).
+    def attach_observers(self, metrics=None) -> None:
+        """Report UDF calls into a metrics registry (batch-size histogram).
 
-        :class:`~repro.engine.database.Database` attaches its own profiler
-        so UDF wall-clock shows up as the paper's *inference* slice instead
-        of being buried inside the filter/project operators that evaluate
-        the UDF expression.
+        UDF wall-clock is kept per UDF in :attr:`BatchUdf.stats`.  In a
+        trace it is part of the self time of the filter/project operator
+        that evaluates the UDF expression; it has no operator category of
+        its own.
         """
-        self._profiler = profiler
         self._metrics = metrics
 
     def attach_cache(self, cache: Optional[InferenceCache]) -> None:
@@ -603,8 +600,6 @@ class UdfRegistry:
             raise UdfError(f"UDF {udf.name!r} failed: {exc}") from exc
         elapsed = time.perf_counter() - started
         udf.stats.record(rows=num_rows, seconds=elapsed)
-        if self._profiler is not None:
-            self._profiler.add("udf", elapsed, rows=num_rows)
         if self._metrics is not None:
             self._metrics.histogram(
                 "udf_batch_rows",

@@ -1,12 +1,14 @@
 """Fig. 10: runtime distribution across SQL clauses in generated queries.
 
-Profiles a pure DL2SQL inference run with the engine's per-operator
-profiler and reports the share of wall-clock per operator category.
+Traces a pure DL2SQL inference run and reports each operator category's
+share of the operators' self time, summed over the run's
+``operator:<category>`` spans (:func:`repro.obs.trace.operator_categories`).
 Reproduction target: Join and GroupBy are the expensive clauses.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +18,7 @@ from repro.core.compiler import CompiledModel, PreJoin, compile_model
 from repro.core.runner import Dl2SqlModel
 from repro.engine.database import Database
 from repro.experiments.reporting import print_table
+from repro.obs.trace import Tracer, operator_categories
 from repro.tensor.resnet import build_student_cnn
 from repro.workload.dataset import DatasetConfig, IoTDataset, generate_dataset
 
@@ -42,15 +45,25 @@ def run(
         )
         compiled = compile_model(model, prejoin=prejoin)
 
-    db = Database()
+    db = Database(tracer=Tracer(enabled=True))
     runner = Dl2SqlModel(compiled)
     runner.load(db)
-    db.profiler.reset()
+    traces = []
+    # A collector pause is charged to whichever operator span is open,
+    # and on a short run one full collection outweighs whole clauses, so
+    # the timed loop runs with the collector paused, as ``timeit`` does.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for keyframe in dataset.sample_keyframes(num_keyframes):
+            db.tracer.reset()
+            runner.infer(db, np.asarray(keyframe))
+            traces.extend(db.tracer.traces)
+    finally:
+        if collecting:
+            gc.enable()
 
-    for keyframe in dataset.sample_keyframes(num_keyframes):
-        runner.infer(db, np.asarray(keyframe))
-
-    snapshot = db.profiler.snapshot()
+    snapshot = operator_categories(traces)
     total = sum(s.seconds for s in snapshot.values()) or 1.0
     rows = [
         ClauseRow(

@@ -6,8 +6,8 @@ operator:<kind>`` — plus the strategy-boundary stages (``decompose``,
 ``db_subquery``, ``transfer``, ``inference``, ``assemble``) the three
 collaborative-query strategies emit.  Spans carry attributes (row counts,
 transfer bytes, estimated costs), which is how the paper's Fig. 10 time
-breakdown and the DB↔DL boundary costs become visible per query instead
-of per process.
+breakdown (:func:`operator_categories`) and the DB↔DL boundary costs
+become visible per query instead of per process.
 
 Zero overhead when disabled: ``Tracer.span`` returns a module-level null
 span without allocating anything, so benchmark hot paths are unaffected
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Optional
 
 
 class Span:
@@ -36,6 +37,7 @@ class Span:
         "attributes",
         "children",
         "_tracer",
+        "_has_parent",
     )
 
     def __init__(
@@ -50,6 +52,9 @@ class Span:
         self.attributes: dict[str, Any] = attributes or {}
         self.children: list[Span] = []
         self._tracer = tracer
+        #: Set on enter: a span opened under another is never a root,
+        #: even if its parent exits first.
+        self._has_parent = False
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
@@ -191,7 +196,7 @@ class Tracer:
         """Open a new span (nested under the current one, if any)."""
         if not self.enabled:
             return NULL_SPAN
-        return Span(name, self, dict(attributes) if attributes else None)
+        return Span(name, self, attributes or None)
 
     def enable(self) -> None:
         self.enabled = True
@@ -203,6 +208,7 @@ class Tracer:
     def _push(self, span: Span) -> None:
         if self._stack:
             self._stack[-1].children.append(span)
+            span._has_parent = True
         self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
@@ -212,7 +218,7 @@ class Tracer:
             top = self._stack.pop()
             if top is span:
                 break
-        if not self._stack and span.ended > 0.0 and not _is_child(span, self.traces):
+        if not self._stack and span.ended > 0.0 and not span._has_parent:
             self.traces.append(span)
             if len(self.traces) > self.max_traces:
                 del self.traces[: len(self.traces) - self.max_traces]
@@ -232,9 +238,36 @@ class Tracer:
         self._stack.clear()
 
 
-def _is_child(span: Span, roots: list[Span]) -> bool:
-    """Guard against double-adding a span already rooted elsewhere."""
-    return any(span in root.walk() for root in roots if root is not span)
+# ----------------------------------------------------------------------
+# Aggregation
+# ----------------------------------------------------------------------
+@dataclass
+class CategoryTotals:
+    """One operator category summed over a set of traces."""
+
+    seconds: float = 0.0
+    calls: int = 0
+    rows: int = 0
+
+
+def operator_categories(roots: Iterable[Span]) -> dict[str, CategoryTotals]:
+    """Self seconds, span count and rows per ``operator:<category>`` span.
+
+    This is the paper's Fig. 10 view.  Self time excludes every child
+    span, so a nested operator (a plan node's input, the SELECT of an
+    INSERT ... SELECT) counts once, in its own category, and the seconds
+    sum to at most the wall time of ``roots``.
+    """
+    totals: dict[str, CategoryTotals] = {}
+    for root in roots:
+        for span in root.walk():
+            kind, _, category = span.name.partition(":")
+            if kind == "operator":
+                entry = totals.setdefault(category, CategoryTotals())
+                entry.seconds += span.self_duration
+                entry.calls += 1
+                entry.rows += span.attributes.get("rows", 0)
+    return totals
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ Concurrency model
   registries, inference cache, kernel cache, morsel pool); every
   :class:`Session` wraps a lightweight ``Database`` facade that borrows
   all of those and adds only per-session state (temp tables, parse/plan
-  caches, profiler, the active query slot).
+  caches, tracer, the active query slot).
 * **Snapshot reads.**  Each read statement pins a copy-on-write
   :meth:`~repro.storage.catalog.Catalog.snapshot` for its whole
   duration: writers swap column lists and bump versions, so a pinned

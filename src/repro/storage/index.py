@@ -3,9 +3,11 @@
 The paper builds indexes on ``MatrixID``, ``OrderID`` and ``KernelID`` to
 speed up the FeatureMap ⋈ Kernel joins (Section IV-A).  Here a
 :class:`HashIndex` maps each distinct key to the numpy array of row
-positions holding it; the hash-join operator probes these directly when an
-index exists, and the optimizer's cost model charges probe cost instead of
-scan cost for indexed join sides.
+positions holding it.  ``CREATE INDEX`` and ``Dl2SqlModel.load`` build
+them and :mod:`repro.storage.persist` saves them, but no operator or
+cost model reads one: hash joins build their own tables, and costs
+charge a scan whether or not an index exists.  ROADMAP item 4b decides
+whether the join consumes an index or the index goes.
 """
 
 from __future__ import annotations

@@ -39,6 +39,38 @@ class TestExplainAnalyzeApi:
             assert op.calls >= 1
             assert op.row_qerror >= 1.0
 
+    def test_tracer_on_and_off_agree(self, db):
+        from repro.obs.trace import Tracer
+
+        traced = Database(tracer=Tracer(enabled=True))
+        traced.create_table_from_dict(
+            "t", {"g": [1, 1, 2, 2, 3], "v": [10.0, 20.0, 30.0, 40.0, 50.0]}
+        )
+
+        def shape(output):
+            return [
+                (op.operator, op.depth, op.actual_rows, op.calls)
+                for op in output.operators
+            ]
+
+        on, off = traced.explain_analyze(SQL), db.explain_analyze(SQL)
+        assert shape(on) == shape(off)
+        assert len(on.operators) == 5
+        # Tracing on: the actuals come from the database's own trace.
+        execute = traced.tracer.last_trace()
+        assert execute.attributes["analyze"] is True
+        assert len(execute.find_all("operator:scan")) == 1
+        assert db.tracer.traces == []
+
+    def test_self_seconds_exclude_child_operators(self, db):
+        # The plan is a chain: each operator's one child is the next.
+        ops = db.explain_analyze(SQL).operators
+        for parent, child in zip(ops, ops[1:]):
+            assert child.depth == parent.depth + 1
+            assert parent.actual_self_seconds == pytest.approx(
+                max(0.0, parent.actual_seconds - child.actual_seconds)
+            )
+
     def test_scan_actual_rows(self, db):
         output = db.explain_analyze(SQL)
         scan = next(

@@ -11,7 +11,6 @@ from repro.engine.physical import (
     _symmetric_hash_join,
 )
 from repro.engine.expressions import FunctionRegistry
-from repro.engine.profiler import Profiler
 from repro.engine.udf import UdfRegistry
 
 
@@ -193,7 +192,6 @@ def _ctx(**kwargs) -> ExecutionContext:
         catalog=Catalog(),
         functions=FunctionRegistry(),
         udfs=UdfRegistry(),
-        profiler=Profiler(),
         **kwargs,
     )
 

@@ -278,7 +278,6 @@ class TestJoinNullKeys:
         assert rows == [(1, 8)]
 
     def test_symmetric_hash_join_drops_null_keys(self, db):
-        from repro.engine.profiler import Profiler
         from repro.engine.physical import (
             ExecutionContext,
             _symmetric_hash_join,
@@ -288,7 +287,6 @@ class TestJoinNullKeys:
             catalog=db.catalog,
             functions=db.functions,
             udfs=db.udfs,
-            profiler=Profiler(),
         )
         left = np.array([1.0, np.nan, 3.0, 4.0])
         right = np.array([np.nan, 1.0, 4.0])

@@ -5,6 +5,8 @@ claims of DESIGN.md are asserted (orderings, monotonicity, dominance) —
 not absolute numbers.
 """
 
+import time
+
 import pytest
 
 from repro.core.compiler import PreJoin
@@ -61,6 +63,13 @@ class TestSqlProfile:
         rows = exp_sql_profile.run(tiny_dataset, num_keyframes=2)
         shares = {r.clause: r.share for r in rows}
         assert shares.get("groupby", 0) + shares.get("join", 0) > 0.5
+
+    def test_fig10_seconds_within_wall_time(self, tiny_dataset):
+        started = time.perf_counter()
+        rows = exp_sql_profile.run(tiny_dataset, num_keyframes=2)
+        wall = time.perf_counter() - started
+        assert 0 < sum(r.seconds for r in rows) * 2 <= wall
+        assert abs(sum(r.share for r in rows) - 1.0) < 1e-6
 
 
 class TestPrejoin:

@@ -73,6 +73,38 @@ class TestSpanNesting:
         assert tracer.current is None
         assert tracer.last_trace() is query
 
+    def test_out_of_order_exit_yields_one_trace(self):
+        tracer = Tracer(enabled=True)
+        parent = tracer.span("parent")
+        parent.__enter__()
+        child = tracer.span("child")
+        child.__enter__()
+        parent.__exit__(None, None, None)
+        child.__exit__(None, None, None)
+        assert tracer.traces == [parent]
+        assert parent.children == [child]
+        assert tracer.current is None
+
+    def test_closing_a_root_walks_no_retained_trace(self, monkeypatch):
+        tracer = Tracer(enabled=True)
+        for _ in range(tracer.max_traces):
+            with tracer.span("query"):
+                with tracer.span("execute"):
+                    pass
+        walked = []
+        original_walk = Span.walk
+
+        def spy_walk(self):
+            walked.append(self)
+            return original_walk(self)
+
+        monkeypatch.setattr(trace_module.Span, "walk", spy_walk)
+        with tracer.span("query") as newest:
+            pass
+        assert walked == []
+        assert len(tracer.traces) == 64
+        assert tracer.last_trace() is newest
+
     def test_max_traces_keeps_newest(self):
         tracer = Tracer(enabled=True, max_traces=3)
         for i in range(5):
@@ -145,7 +177,13 @@ class TestDisabledTracer:
         db = Database()
         db.create_table_from_dict("t", {"a": [1, 2, 3], "b": [4, 5, 6]})
         db.execute("SELECT a, sum(b) FROM t WHERE a > 1 GROUP BY a")
+        assert instantiated == []
+        # EXPLAIN ANALYZE times its operators on a private tracer: the
+        # database's own tracer keeps nothing and stays off afterwards.
         db.execute("EXPLAIN ANALYZE SELECT count(*) FROM t")
+        assert db.tracer.traces == []
+        instantiated.clear()
+        db.execute("SELECT a FROM t WHERE b > 4")
         assert instantiated == []
 
     def test_enable_disable_toggle(self):
@@ -228,3 +266,43 @@ class TestDatabaseIntegration:
         filter_span = root.find("operator:filter")
         assert scan.attributes["rows"] == 10
         assert filter_span.attributes["rows"] == 5
+
+        # One span per plan node, nested like the plan, with its rows.
+        db.create_table_from_dict(
+            "f", {"k": list(range(50)), "g": [i % 5 for i in range(50)]}
+        )
+        db.create_table_from_dict("d", {"k": list(range(10))})
+        sql = (
+            "SELECT f.g, count(*) FROM f, d WHERE f.k = d.k "
+            "GROUP BY f.g ORDER BY f.g"
+        )
+        db.execute(sql)
+        execute = tracer.last_trace().find("execute")
+        plan = db.explain(sql).plan  # same shape as the executed plan
+        expected_rows = {
+            "Project": 5, "Sort": 5, "Aggregate": 5, "HashJoin": 10,
+            "Scan f": 50, "Scan d": 10,
+        }
+        categories = {
+            "Project": "project", "Sort": "sort", "Aggregate": "groupby",
+            "HashJoin": "join", "Scan": "scan",
+        }
+        node_ids = set()
+
+        def check(span, node):
+            kind = type(node).__name__
+            assert span.name == f"operator:{categories[kind]}"
+            key = f"Scan {node.table_name}" if kind == "Scan" else kind
+            assert span.attributes["rows"] == expected_rows.pop(key)
+            assert isinstance(span.attributes["node"], int)
+            node_ids.add(span.attributes["node"])
+            children = node.children()
+            assert len(span.children) == len(children)
+            for child_span, child in zip(span.children, children):
+                check(child_span, child)
+
+        assert len(execute.children) == 1
+        check(execute.children[0], plan)
+        assert expected_rows == {}
+        assert len(node_ids) == 6
+        assert len(execute.find_all("operator:scan")) == 2
